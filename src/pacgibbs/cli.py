@@ -9,10 +9,7 @@ Commands::
     pacgibbs selftest
     pacgibbs print-config [--config cfg]
 
-Every command is deterministic given (config, seed).  Benchmark units
-run in a worker pool sized by the PACGIBBS_WORKERS environment variable
-(default 1); outputs are collected and written in a fixed order, so the
-pool size never changes results.
+Every command is deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -314,23 +310,32 @@ def cmd_bound_report(cfg: RunConfig, model_path: str) -> int:
     return 0
 
 
-def _benchmark_unit(cfg: RunConfig, ds: Dataset, task_def, split, partition: int):
+def _benchmark_unit(
+    cfg: RunConfig, ds: Dataset, task_def, split, partition: int, size: int | None = None
+):
+    """Train on one split and score its test half; returns a results.csv row.
+
+    With ``size`` the labeled half is first subsampled, stratified, to at
+    most that many examples: one learning-curve point, whose unit seed
+    also depends on the size.
+    """
     start = time.perf_counter()
     if ds.kind == "vector":
         X_l, y_l, X_u, X_test, y_test = materialize_vector_split(ds, split)
-        xs_l, xs_u = list(X_l), list(X_u)
-        xs_test = list(X_test)
+        xs_l, xs_u, xs_test = list(X_l), list(X_u), list(X_test)
     else:
         xs_l, y_l, xs_u, xs_test, y_test = materialize_sequence_split(ds, split)
     mode = cfg["run.mode"]
     S_l = list(zip(xs_l, [int(y) for y in y_l]))
+    spawn_key = (task_def.positive_class, partition)
+    if size is not None:
+        sub_rng = derive_rng(cfg["data.split_seed"], *spawn_key, size)
+        S_l = _subsample_stratified(S_l, min(size, len(S_l)), sub_rng)
+        spawn_key += (size,)
     S_u = xs_u if mode == "semi" else []
-    unit_seed = int(
-        np.random.SeedSequence(
-            entropy=cfg["trainer.seed"], spawn_key=(task_def.positive_class, partition)
-        ).generate_state(1)[0]
-    )
-    bp, bm = _build_backends(cfg, ds, xs_l, [int(y) for y in y_l], unit_seed)
+    seed_seq = np.random.SeedSequence(entropy=cfg["trainer.seed"], spawn_key=spawn_key)
+    unit_seed = int(seed_seq.generate_state(1)[0])
+    bp, bm = _build_backends(cfg, ds, [x for x, _ in S_l], [y for _, y in S_l], unit_seed)
     tcfg = _train_config(cfg, seed=unit_seed)
     tilt = _tilt_config(cfg, len(S_l), len(S_u))
     trained = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
@@ -370,21 +375,15 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     tasks = one_vs_rest_tasks(ds)
     unlabeled_fraction = cfg["data.unlabeled_fraction"] if cfg["run.mode"] == "semi" else 0.0
     n_partitions = cfg["data.n_partitions"]
-    units = []
-    for task_def in tasks:
-        splits = make_splits(
-            ds, task_def, n_partitions, unlabeled_fraction, cfg["data.split_seed"]
-        )
-        units.extend((task_def, p, split) for p, split in enumerate(splits))
-
-    workers = int(os.environ.get("PACGIBBS_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda u: _benchmark_unit(cfg, ds, u[0], u[2], u[1]), units)
-            )
-    else:
-        rows = [_benchmark_unit(cfg, ds, t, s, p) for t, p, s in units]
+    task_splits = [
+        (t, make_splits(ds, t, n_partitions, unlabeled_fraction, cfg["data.split_seed"]))
+        for t in tasks
+    ]
+    rows = [
+        _benchmark_unit(cfg, ds, task_def, split, p)
+        for task_def, splits in task_splits
+        for p, split in enumerate(splits)
+    ]
     rows.sort(key=lambda r: (r[0], r[1]))
 
     out_dir = cfg["run.output_dir"]
@@ -403,16 +402,12 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     sizes = cfg.learning_curve_sizes()
     if sizes:
         lc_rows = []
-        for task_def in tasks:
-            splits = make_splits(
-                ds, task_def, n_partitions, unlabeled_fraction, cfg["data.split_seed"]
-            )
+        for task_def, splits in task_splits:
             for size in sizes:
-                accs = []
-                for p, split in enumerate(splits):
-                    sub_rng = derive_rng(cfg["data.split_seed"], task_def.positive_class, p, size)
-                    row = _learning_curve_point(cfg, ds, task_def, split, p, size, sub_rng)
-                    accs.append(row)
+                accs = [
+                    _benchmark_unit(cfg, ds, task_def, split, p, size)[4]
+                    for p, split in enumerate(splits)
+                ]
                 mean, std = aggregate(accs)
                 lc_rows.append((task_def.name, size, cfg["run.mode"], mean, std))
         _write_csv(
@@ -422,32 +417,6 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         )
         print(f"learning-curve rows written: {len(lc_rows)}")
     return 0
-
-
-def _learning_curve_point(cfg, ds, task_def, split, partition, size, rng):
-    if ds.kind == "vector":
-        X_l, y_l, X_u, X_test, y_test = materialize_vector_split(ds, split)
-        xs_l, xs_u, xs_test = list(X_l), list(X_u), list(X_test)
-    else:
-        xs_l, y_l, xs_u, xs_test, y_test = materialize_sequence_split(ds, split)
-    S_l_full = list(zip(xs_l, [int(y) for y in y_l]))
-    S_l = _subsample_stratified(S_l_full, min(size, len(S_l_full)), rng)
-    S_u = xs_u if cfg["run.mode"] == "semi" else []
-    unit_seed = int(
-        np.random.SeedSequence(
-            entropy=cfg["trainer.seed"],
-            spawn_key=(task_def.positive_class, partition, size),
-        ).generate_state(1)[0]
-    )
-    bp, bm = _build_backends(
-        cfg, ds, [x for x, _ in S_l], [y for _, y in S_l], unit_seed
-    )
-    tcfg = _train_config(cfg, seed=unit_seed)
-    tilt = _tilt_config(cfg, len(S_l), len(S_u))
-    trained = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
-    trained.predict_normalized = cfg["predict.normalized"]
-    test_pairs = list(zip(xs_test, [int(y) for y in y_test]))
-    return evaluate(test_pairs, trained, cfg["predict.n"], derive_rng(unit_seed, 902))
 
 
 def cmd_selftest() -> int:

@@ -111,9 +111,12 @@ def load_vectors(
             label = cells[col]
             feats = cells[:col] + cells[col + 1 :]
             try:
-                rows.append(np.array([float(c) for c in feats]))
+                values = np.array([float(c) for c in feats])
             except ValueError as exc:
                 raise DataFormatError(f"non-numeric feature cell ({exc})", lineno) from None
+            if not np.all(np.isfinite(values)):
+                raise DataFormatError("non-finite feature cell (nan or inf)", lineno)
+            rows.append(values)
             if classes is not None and label not in classes and label not in UNLABELED_TOKENS:
                 raise DataFormatError(f"unknown label {label!r}", lineno)
             raw_labels.append(label)
@@ -138,7 +141,7 @@ def load_sequences(
     classes: list[str] | None = None,
 ) -> Dataset:
     """Parse ``label,LETTERS`` rows into integer token sequences."""
-    raw: list[tuple[str, str]] = []
+    raw: list[tuple[int, str, str]] = []  # (line number, label, letters)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -151,23 +154,25 @@ def load_sequences(
                 raise DataFormatError("sequence length must be at least 2", lineno)
             if classes is not None and label not in classes and label not in UNLABELED_TOKENS:
                 raise DataFormatError(f"unknown label {label!r}", lineno)
-            raw.append((label, letters))
+            raw.append((lineno, label, letters))
     if not raw:
         raise DataFormatError(f"no data rows in {path}")
 
-    letters_seen = sorted({ch for _, s in raw for ch in s})
+    letters_seen = sorted({ch for _, _, s in raw for ch in s})
     if alphabet is None:
         alphabet = "".join(letters_seen)
     if len(alphabet) > 22:
         raise DataFormatError(f"alphabet has {len(alphabet)} letters, limit is 22")
     token = {ch: i for i, ch in enumerate(alphabet)}
     sequences = []
-    for lineno_offset, (_, s) in enumerate(raw):
+    for lineno, _, s in raw:
         try:
             sequences.append(np.array([token[ch] for ch in s], dtype=int))
         except KeyError as exc:
-            raise DataFormatError(f"letter {exc.args[0]!r} outside alphabet {alphabet!r}")
-    raw_labels = [l for l, _ in raw]
+            raise DataFormatError(
+                f"letter {exc.args[0]!r} outside alphabet {alphabet!r}", lineno
+            ) from None
+    raw_labels = [l for _, l, _ in raw]
     class_names = (
         list(classes)
         if classes is not None

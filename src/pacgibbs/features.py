@@ -24,21 +24,14 @@ class StochasticFeature:
 
     ``phi`` is ``[block_plus; block_minus; 1]``; ``phi_bar = phi/||phi||``
     (the trailing 1 guarantees ``||phi|| >= 1``, so normalization never
-    divides by zero).  ``source`` identifies the (example, attempt) the
-    hidden samples came from, so a draw kept in a sample set remains
-    traceable to the example whose models must absorb it.
+    divides by zero).
     """
 
     phi: np.ndarray
     phi_bar: np.ndarray
-    source: tuple[int, int] | None = None
 
 
-def assemble(
-    block_plus: np.ndarray,
-    block_minus: np.ndarray,
-    source: tuple[int, int] | None = None,
-) -> StochasticFeature:
+def assemble(block_plus: np.ndarray, block_minus: np.ndarray) -> StochasticFeature:
     """Concatenate two backend feature blocks with a trailing constant 1.
 
     Raises :class:`InvalidFeatureError` if either block contains NaN or
@@ -50,7 +43,7 @@ def assemble(
         raise InvalidFeatureError("feature blocks must be finite")
     phi = np.concatenate([bp, bm, [1.0]])
     phi_bar = phi / np.linalg.norm(phi)
-    return StochasticFeature(phi=phi, phi_bar=phi_bar, source=source)
+    return StochasticFeature(phi=phi, phi_bar=phi_bar)
 
 
 class GenerativeBackend(ABC):

@@ -107,25 +107,33 @@ def save_model(
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path: str):
         self.blob = blob
+        self.path = path
         self.off = 0
 
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, self.blob, self.off)
+    def _take(self, size: int) -> int:
+        """Start offset of the next ``size`` bytes; the file must hold them."""
+        remaining = len(self.blob) - self.off
+        if size > remaining:
+            raise DataFormatError(
+                f"{self.path} is truncated: {size} bytes needed at offset {self.off}, "
+                f"{remaining} left"
+            )
+        start = self.off
         self.off += size
-        return vals
+        return start
+
+    def unpack(self, fmt: str):
+        return struct.unpack_from(fmt, self.blob, self._take(struct.calcsize(fmt)))
 
     def floats(self, count: int) -> np.ndarray:
-        arr = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.off).copy()
-        self.off += 8 * count
-        return arr
+        start = self._take(8 * count)
+        return np.frombuffer(self.blob, dtype="<f8", count=count, offset=start).copy()
 
     def raw(self, count: int) -> bytes:
-        out = self.blob[self.off : self.off + count]
-        self.off += count
-        return out
+        start = self._take(count)
+        return self.blob[start : start + count]
 
 
 def _read_gmm(r: _Reader) -> GmmBackend:
@@ -153,7 +161,7 @@ def _read_hmm(r: _Reader) -> HmmBackend:
 def load_model(path: str) -> LoadedModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
+    r = _Reader(blob, path)
     if r.raw(8) != MAGIC:
         raise DataFormatError(f"{path} is not a pacgibbs model file")
     version, kind_code, predict_norm = r.unpack("<IBB")

@@ -109,7 +109,6 @@ def rejection_sample(
     u: np.ndarray,
     cfg: TiltConfig,
     rng: np.random.Generator,
-    example_id: int = 0,
 ) -> HiddenSampleSet:
     """Draw ``cfg.n_draws`` hidden pairs from the tilted posterior of ``x``.
 
@@ -131,7 +130,6 @@ def rejection_sample(
         feature = assemble(
             backend_plus.feature_block(x, h_plus, post_plus),
             backend_minus.feature_block(x, h_minus, post_minus),
-            source=(example_id, attempts),
         )
         exponent = tilt_exponent(feature, y, u, cfg)
         if np.log(rng.random()) < exponent:

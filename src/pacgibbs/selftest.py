@@ -107,7 +107,8 @@ def check_grad_c(grad_c_impl=None) -> CheckResult:
     return CheckResult("grad_C vs finite differences", worst, 1e-4)
 
 
-def _tiny_gmm_pair():
+def tiny_gmm_pair():
+    """Fixed two-component, 1-d mixtures for enumerable sampler checks."""
     plus = GmmBackend(
         GmmParams(
             weights=np.array([0.6, 0.4]),
@@ -129,7 +130,7 @@ def _tiny_gmm_pair():
 
 def check_sampler_enumeration(n_accepted: int = 50000) -> CheckResult:
     """Accepted-draw frequencies must match the enumerated tilted posterior."""
-    bp, bm = _tiny_gmm_pair()
+    bp, bm = tiny_gmm_pair()
     x = np.array([0.5])
     rng = np.random.default_rng(17)
     u = rng.normal(size=2 * bp.block_dim() + 1)

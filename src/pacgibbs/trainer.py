@@ -120,11 +120,11 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, iteration):
     sets_l = []
     for i, (x, y) in enumerate(S_l):
         rng = derive_rng(seed, _PHASE_LOOP, iteration, i)
-        sets_l.append(rejection_sample(x, y, bp, bm, u, tcfg, rng, example_id=i))
+        sets_l.append(rejection_sample(x, y, bp, bm, u, tcfg, rng))
     sets_u = []
     for i, x in enumerate(S_u):
         rng = derive_rng(seed, _PHASE_LOOP, iteration, len(S_l) + i)
-        sets_u.append(rejection_sample(x, None, bp, bm, u, tcfg, rng, example_id=len(S_l) + i))
+        sets_u.append(rejection_sample(x, None, bp, bm, u, tcfg, rng))
     return sets_l, sets_u
 
 
@@ -178,7 +178,7 @@ def init_u0(
     labeled = []
     for i, (x, y) in enumerate(S_l_fraction):
         rng = derive_rng(cfg.seed, _PHASE_U0_SAMPLES, i)
-        s = rejection_sample(x, y, backend_plus, backend_minus, zero_u, untilted, rng, example_id=i)
+        s = rejection_sample(x, y, backend_plus, backend_minus, zero_u, untilted, rng)
         labeled.append((s.feature_matrix(), y))
     unlabeled = []
     for i, x in enumerate(S_u_fraction):
@@ -228,7 +228,13 @@ def _hidden_kl(sample_sets, m: int) -> float:
 
 
 def _evaluate(labeled, unlabeled, sets_l, sets_u, u, u0, C, delta, m, m_l, m_u, n) -> RiskReport:
-    """Full risk report at the current state, on the current samples."""
+    """Full risk report at the current state, on the current samples.
+
+    ``bound_raw`` is the semi-supervised bound when there is unlabeled
+    data and the supervised one otherwise; with every example labeled the
+    combined risk e + d/2 collapses to R by the decomposition identity,
+    so the two coincide.
+    """
     risks = empirical_risks(labeled, unlabeled, u)
     klw = kl_weights(u, u0)
     kl_hidden = _hidden_kl(sets_l + sets_u, m)
@@ -435,25 +441,18 @@ def evaluate_bounds(
     )
     labeled = [(s.feature_matrix(), y) for (_, y), s in zip(S_l, sets_l)]
     unlabeled = [s.feature_matrix() for s in sets_u]
-    risks = empirical_risks(labeled, unlabeled, task.u)
-    klw = kl_weights(task.u, task.u0)
-    kl_hidden = _hidden_kl(sets_l + sets_u, m)
-    kl_total = klw + kl_hidden
-    if m_u > 0:
-        semi = bound_semisupervised(risks.e_S, risks.d_S, kl_total, task.C, delta, m)
-    else:
-        # With every example labeled, the combined risk e + d/2 over the
-        # whole set collapses to R by the decomposition identity, so the
-        # two bounds coincide.
-        semi = bound_supervised(risks.R_S, kl_total, task.C, delta, m)
+    r = _evaluate(
+        labeled, unlabeled, sets_l, sets_u, task.u, task.u0, task.C, delta, m, m_l, m_u,
+        tcfg.n_draws,
+    )
     return {
-        "R_S": risks.R_S,
-        "e_S": risks.e_S,
-        "d_S": risks.d_S,
-        "kl_w": klw,
-        "kl_hidden": kl_hidden,
-        "bound_supervised_raw": bound_supervised(risks.R_S, kl_total, task.C, delta, m),
-        "bound_semisupervised_raw": semi,
+        "R_S": r.R_S,
+        "e_S": r.e_S,
+        "d_S": r.d_S,
+        "kl_w": r.kl_w,
+        "kl_hidden": r.kl_hidden,
+        "bound_supervised_raw": bound_supervised(r.R_S, r.kl_w + r.kl_hidden, task.C, delta, m),
+        "bound_semisupervised_raw": r.bound_raw,
     }
 
 

@@ -7,29 +7,8 @@ import itertools
 import numpy as np
 
 from pacgibbs.features import assemble
-from pacgibbs.gmm import GmmBackend, GmmParams
 from pacgibbs.hmm import HmmBackend, HmmParams
-
-
-def tiny_gmm_pair():
-    """Fixed two-component, 1-d mixtures for enumerable sampler tests."""
-    plus = GmmBackend(
-        GmmParams(
-            weights=np.array([0.6, 0.4]),
-            means=np.array([[0.0], [2.0]]),
-            variances=np.array([[1.0], [0.5]]),
-        ),
-        variance_floor=np.array([1e-8]),
-    )
-    minus = GmmBackend(
-        GmmParams(
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[-1.0], [1.0]]),
-            variances=np.array([[0.8], [1.2]]),
-        ),
-        variance_floor=np.array([1e-8]),
-    )
-    return plus, minus
+from pacgibbs.selftest import tiny_gmm_pair  # noqa: F401  (shared with the test modules)
 
 
 def tiny_hmm_pair(n_symbols: int = 3):

@@ -238,6 +238,19 @@ class TestPredictAndBoundReport:
         # supervised data: the two bounds coincide
         assert sup[0].split("raw = ")[1] == semi[0].split("raw = ")[1]
 
+    def test_truncated_model_fails_cleanly(self, trained, capsys):
+        data, _, out = trained
+        blob = (out / "model.bin").read_bytes()
+        cut = out / "cut.bin"
+        for size in (4, 100, len(blob) - 1):
+            cut.write_bytes(blob[:size])
+            code = run_cli(
+                "predict", "--model", str(cut), "--set", f"data.path={data}",
+                "--set", f"run.output_dir={out}",
+            )
+            assert code == 2
+            assert f"{cut} is truncated" in capsys.readouterr().err
+
     def test_bound_report_delta_sweep_monotone(self, trained, capsys):
         data, model, out = trained
         raws = []
@@ -267,32 +280,23 @@ class TestBenchmarkCommand:
         assert rows[0] == "task,partition,mode,n_labeled,accuracy,bound_raw,bound_clamped,wall_seconds"
         assert len(rows) == 1 + 2 * 2  # two mirror tasks x two partitions
 
-    def test_worker_pool_does_not_change_results(self, tmp_path, monkeypatch):
-        data = write_vector_file(tmp_path / "d.csv", n_per_class=16, seed=5)
-        tables = []
-        for workers, name in (("1", "serial"), ("3", "parallel")):
-            monkeypatch.setenv("PACGIBBS_WORKERS", workers)
-            out = tmp_path / name
-            assert run_cli(
-                "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
-                "--set", "data.n_partitions=2", *[f"--set={o}" for o in FAST_OVERRIDES]
-            ) == 0
-            rows = (out / "results.csv").read_text().splitlines()
-            # drop the wall-clock column; everything else must be identical
-            tables.append([row.rsplit(",", 1)[0] for row in rows])
-        assert tables[0] == tables[1]
-
     def test_learning_curve_row_count(self, tmp_path):
         data = write_vector_file(tmp_path / "d.csv", n_per_class=20, seed=4)
-        out = tmp_path / "out"
-        code = run_cli(
-            "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
-            "--set", "data.n_partitions=2", "--set", "benchmark.learning_curve_sizes=6,10",
-            *[f"--set={o}" for o in FAST_OVERRIDES]
-        )
-        assert code == 0
-        rows = (out / "learning_curve.csv").read_text().splitlines()
+        curves = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            code = run_cli(
+                "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+                "--set", "data.n_partitions=2", "--set", "benchmark.learning_curve_sizes=6,10",
+                *[f"--set={o}" for o in FAST_OVERRIDES]
+            )
+            assert code == 0
+            curves.append((out / "learning_curve.csv").read_bytes())
+        assert curves[0] == curves[1]
+        rows = curves[0].decode().splitlines()
         assert len(rows) == 1 + 2 * 2  # |sizes| x |tasks| + header
+        sizes = [row.split(",")[1] for row in rows[1:]]
+        assert sizes == ["6", "10", "6", "10"]
 
 
 class TestHmmBackendCommands:

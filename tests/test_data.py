@@ -52,6 +52,13 @@ class TestLoadVectors:
         with pytest.raises(DataFormatError, match="line 1"):
             load_vectors(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1.0,2.0,a\n{cell},2.0,b\n")
+        with pytest.raises(DataFormatError, match="line 2: non-finite"):
+            load_vectors(str(path))
+
     def test_unknown_label_with_class_list(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,a\n1.0,2.0,zz\n")
@@ -81,8 +88,9 @@ class TestLoadSequences:
 
     def test_unknown_letter(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("fam1,ABZA\n")
-        with pytest.raises(DataFormatError, match="'Z'"):
+        # blank lines count: the error names the file line, not the row index
+        path.write_text("fam1,ABBA\n\n\nfam1,ABZA\n")
+        with pytest.raises(DataFormatError, match="line 4: letter 'Z'"):
             load_sequences(str(path), alphabet="AB")
 
     def test_too_short(self, tmp_path):

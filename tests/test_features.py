@@ -39,10 +39,6 @@ class TestAssemble:
         with pytest.raises(InvalidFeatureError):
             assemble(np.array([np.nan]), np.array([0.0]))
 
-    def test_source_recorded(self):
-        f = assemble(np.ones(2), np.ones(2), source=(3, 7))
-        assert f.source == (3, 7)
-
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),

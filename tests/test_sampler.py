@@ -134,10 +134,3 @@ class TestRejectionSampler:
         # kept draws carry the largest exponents seen
         kept = sorted(e for _, _, _, e in out.draws)
         assert all(e <= 0 for e in kept)
-
-    def test_source_carries_example_id(self):
-        bp, bm = tiny_gmm_pair()
-        cfg = TiltConfig(C=0.0, m=2, m_l=1, m_u=1, n_draws=3, max_attempts=10)
-        rng = np.random.default_rng(8)
-        out = rejection_sample(np.array([0.0]), 1, bp, bm, np.zeros(2 * bp.block_dim() + 1), cfg, rng, example_id=17)
-        assert all(f.source[0] == 17 for _, _, f, _ in out.draws)
