@@ -11,6 +11,7 @@ from .bounds import (
     grad_C,
     grad_u,
     kl_weights,
+    stack_features,
     surrogate_objective,
 )
 from .data import (

@@ -8,15 +8,24 @@ feature ``phi_bar``:
 * disagreement of two independent draws:
   ``E I(f_w1 != f_w2) = 2 * phi_tail(a) * phi_tail(-a)`` with ``a = u.phi_bar``
 
-Sampled hidden configurations enter through per-example feature matrices
-(one row per draw, rows unit-norm).  The surrogate objective ``J(u)``
-replaces the intractable log-normalizers with their Jensen bound::
+Sampled hidden configurations enter as feature batches built by
+:func:`stack_features`: one float array of shape (m, n, D) per example set,
+holding n unit-norm rows (one per hidden draw) of dimension D for each of
+the m examples.  In the labeled batch every row is already multiplied by
+its example's label y = +-1, so its margins are the signed margins
+``y a_ij``; the unlabeled batch holds the rows as drawn.  The surrogate
+objective ``J(u)`` replaces the intractable log-normalizers with their
+Jensen bound::
 
     J(u) = ||u - u0||^2 / (2m)
          + (C / (m_l n)) sum_ij  phi_tail(y_i a_ij)
          + (C / (m_u n)) sum_ij  phi_tail(a_ij) phi_tail(-a_ij)
 
 and its analytic ``u``-gradient is implemented alongside for descent.
+Both work on whole batches, yet give the same bits as one pass per
+example: negation is exact in IEEE arithmetic, so signed rows give the
+signed margins exactly, and sums over examples run left to right from
++0.0 (``_sum_examples``), as a per-example ``+=`` loop does.
 The trade-off constant ``C`` has its own descent direction, implemented
 exactly as the derivative of the bound treated as a function of ``C``
 with the risk terms entering ``J`` linearly.
@@ -31,9 +40,9 @@ import numpy as np
 from .errors import ContractViolationError, InvalidArgumentError
 from .numerics import Probability, gauss_pdf, phi_tail
 
-# Per-example sampled features: matrix of unit-norm rows, one per draw.
-LabeledFeatures = list[tuple[np.ndarray, int]]
-UnlabeledFeatures = list[np.ndarray]
+# A feature batch: float array of shape (m, n, D), rows unit-norm; in a
+# labeled batch each example's rows are multiplied by its label.
+FeatureBatch = np.ndarray
 
 _UNIT_TOL = 1e-6
 
@@ -78,11 +87,37 @@ class RiskReport:
 
 
 def _check_unit_rows(mat: np.ndarray):
+    if not np.all(np.isfinite(mat)):
+        raise ContractViolationError("feature rows must be finite")
     norms = np.linalg.norm(mat, axis=-1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ContractViolationError(
             f"feature rows must be unit-norm (max deviation {np.abs(norms - 1.0).max():.3g})"
         )
+
+
+def stack_features(matrices, labels=None, shape: tuple[int, int] | None = None) -> FeatureBatch:
+    """Stack per-example (n, D) feature matrices into one (m, n, D) batch.
+
+    ``matrices`` is a sequence of matrices or an (m, n, D) array; it is
+    copied, never modified.  With ``labels`` (one +1 or -1 per example)
+    each example's rows are multiplied by its label, which makes the
+    batch a labeled one.  ``shape`` = (n, D) gives an empty set its row
+    shape.  Raises :class:`ContractViolationError` if a row is not finite
+    or not unit-norm.
+    """
+    batch = np.array(matrices, dtype=float)
+    if len(batch) == 0 and shape is not None:
+        batch = batch.reshape(0, *shape)
+    if batch.ndim != 3:
+        raise InvalidArgumentError(f"features must stack to shape (m, n, D), got {batch.shape}")
+    if labels is not None:
+        signs = np.asarray(labels, dtype=float)
+        if signs.shape != (len(batch),) or not np.all(np.abs(signs) == 1.0):
+            raise InvalidArgumentError("labels must be one -1 or +1 per example")
+        batch *= signs[:, None, None]
+    _check_unit_rows(batch)
+    return batch
 
 
 def expected_error(u: np.ndarray, phi_bar: np.ndarray, y: int) -> Probability:
@@ -112,14 +147,23 @@ def kl_weights(u: np.ndarray, u0: np.ndarray) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def _margins(u: np.ndarray, features: np.ndarray) -> np.ndarray:
-    _check_unit_rows(features)
-    return features @ u
+def _sum_examples(values: np.ndarray):
+    """Sum over the example axis, left to right from +0.0.
+
+    This gives the bits of a per-example ``total += value`` loop; a plain
+    ``np.sum`` adds pairwise and can differ in the last bits.
+    """
+    return np.cumsum(values, axis=0)[-1] + 0.0
+
+
+def _weighted_rows(weights: np.ndarray, batch: FeatureBatch) -> np.ndarray:
+    """Per example, the weighted mean of its rows: ``weights[i] @ batch[i] / n``."""
+    return np.matmul(weights[:, None, :], batch)[:, 0, :] / batch.shape[1]
 
 
 def empirical_risks(
-    labeled: LabeledFeatures,
-    unlabeled: UnlabeledFeatures,
+    labeled: FeatureBatch,
+    unlabeled: FeatureBatch,
     u: np.ndarray,
     exact_pairing: bool = False,
 ) -> RiskReport:
@@ -131,29 +175,27 @@ def empirical_risks(
     ``mean_j(phi_tail)^2``.  An empty unlabeled set yields d_S = 0
     (supervised mode); an empty labeled set is an error.
     """
-    if not labeled:
+    if not len(labeled):
         raise InvalidArgumentError("empirical_risks requires at least one labeled example")
-    e_terms = []
-    r_terms = []
-    for feats, y in labeled:
-        p = phi_tail(y * _margins(u, feats))
-        r_terms.append(p.mean())
-        e_terms.append(p.mean() ** 2 if exact_pairing else (p * p).mean())
-    d_terms = []
-    for feats in unlabeled:
-        a = _margins(u, feats)
+    p = phi_tail(np.matmul(labeled, u))
+    r_terms = p.mean(axis=1)
+    e_terms = r_terms * r_terms if exact_pairing else (p * p).mean(axis=1)
+    d_S = 0.0
+    if len(unlabeled):
+        a = np.matmul(unlabeled, u)
         p, q = phi_tail(a), phi_tail(-a)
-        d_terms.append(2.0 * p.mean() * q.mean() if exact_pairing else (2.0 * p * q).mean())
-    return RiskReport(
-        e_S=float(np.mean(e_terms)),
-        d_S=float(np.mean(d_terms)) if d_terms else 0.0,
-        R_S=float(np.mean(r_terms)),
-    )
+        d_terms = (
+            2.0 * p.mean(axis=1) * q.mean(axis=1) if exact_pairing else (2.0 * p * q).mean(axis=1)
+        )
+        d_S = float(np.mean(d_terms))
+    return RiskReport(e_S=float(np.mean(e_terms)), d_S=d_S, R_S=float(np.mean(r_terms)))
 
 
 def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):
     if m_l != len(labeled) or m_u != len(unlabeled):
-        raise InvalidArgumentError("m_l/m_u must match the provided feature lists")
+        raise InvalidArgumentError("m_l/m_u must match the sizes of the feature batches")
+    if m_l < 1:
+        raise InvalidArgumentError("need at least one labeled example")
     if m != m_l + m_u:
         raise InvalidArgumentError(f"m must equal m_l + m_u ({m} != {m_l} + {m_u})")
     if n < 1:
@@ -161,8 +203,8 @@ def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):
 
 
 def surrogate_objective(
-    labeled: LabeledFeatures,
-    unlabeled: UnlabeledFeatures,
+    labeled: FeatureBatch,
+    unlabeled: FeatureBatch,
     u: np.ndarray,
     u0: np.ndarray,
     C: float,
@@ -174,22 +216,18 @@ def surrogate_objective(
     """The Jensen surrogate J(u) over fixed hidden samples."""
     _validate_counts(labeled, unlabeled, m, m_l, m_u, n)
     value = kl_weights(u, u0) / m
-    lab = 0.0
-    for feats, y in labeled:
-        lab += phi_tail(y * _margins(u, feats)).mean()
+    lab = _sum_examples(phi_tail(np.matmul(labeled, u)).mean(axis=1))
     value += C * lab / m_l
     if m_u > 0:
-        unl = 0.0
-        for feats in unlabeled:
-            a = _margins(u, feats)
-            unl += (phi_tail(a) * phi_tail(-a)).mean()
+        a = np.matmul(unlabeled, u)
+        unl = _sum_examples((phi_tail(a) * phi_tail(-a)).mean(axis=1))
         value += C * unl / m_u
     return float(value)
 
 
 def grad_u(
-    labeled: LabeledFeatures,
-    unlabeled: UnlabeledFeatures,
+    labeled: FeatureBatch,
+    unlabeled: FeatureBatch,
     u: np.ndarray,
     u0: np.ndarray,
     C: float,
@@ -201,16 +239,13 @@ def grad_u(
     """Analytic gradient of the surrogate J(u) with respect to ``u``."""
     _validate_counts(labeled, unlabeled, m, m_l, m_u, n)
     grad = (u - u0) / m
-    lab = np.zeros_like(grad)
-    for feats, y in labeled:
-        a = _margins(u, feats)
-        lab += (gauss_pdf(y * a) * y) @ feats / feats.shape[0]
+    a = np.matmul(labeled, u)
+    lab = _sum_examples(_weighted_rows(gauss_pdf(a), labeled))
     grad -= C * lab / m_l
     if m_u > 0:
-        unl = np.zeros_like(grad)
-        for feats in unlabeled:
-            a = _margins(u, feats)
-            unl += (gauss_pdf(a) * (phi_tail(a) - phi_tail(-a))) @ feats / feats.shape[0]
+        a = np.matmul(unlabeled, u)
+        weights = gauss_pdf(a) * (phi_tail(a) - phi_tail(-a))
+        unl = _sum_examples(_weighted_rows(weights, unlabeled))
         grad += C * unl / m_u
     return grad
 

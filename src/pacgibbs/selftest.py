@@ -52,9 +52,9 @@ def check_decomposition() -> CheckResult:
     u = rng.normal(size=6)
     feats = rng.normal(size=(4, 3, 6))
     feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-    labeled = [(feats[i], 1 if i % 2 == 0 else -1) for i in range(4)]
+    labeled = bounds.stack_features(feats, [1 if i % 2 == 0 else -1 for i in range(4)])
     # Score the labeled set both ways: its own feature rows feed d_S too.
-    both_ways = bounds.empirical_risks(labeled, [f for f, _ in labeled], u)
+    both_ways = bounds.empirical_risks(labeled, bounds.stack_features(feats), u)
     assembled = abs(both_ways.e_S + 0.5 * both_ways.d_S - both_ways.R_S)
     return CheckResult("risk decomposition identity", float(max(closed, assembled)), 1e-10)
 
@@ -67,8 +67,9 @@ def check_grad_u(grad_u_impl=None) -> CheckResult:
         dim, n, m_l, m_u = 8, 3, 4, 3
         feats = rng.normal(size=(m_l + m_u, n, dim))
         feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-        labeled = [(feats[i], int(rng.choice([-1, 1]))) for i in range(m_l)]
-        unlabeled = [feats[m_l + i] for i in range(m_u)]
+        labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
+        labeled = bounds.stack_features(feats[:m_l], labels)
+        unlabeled = bounds.stack_features(feats[m_l:])
         u = rng.normal(size=dim)
         u0 = rng.normal(size=dim)
         C = float(rng.uniform(0.2, 3.0))

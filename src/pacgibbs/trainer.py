@@ -36,6 +36,7 @@ from .bounds import (
     grad_C,
     grad_u,
     kl_weights,
+    stack_features,
     surrogate_objective,
 )
 from .errors import InvalidArgumentError, TrainingAbort
@@ -116,16 +117,25 @@ class TrainedTask:
         return ClassifierState(u=self.u, u0=self.u0, C=self.C, delta=self.delta)
 
 
-def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, iteration):
-    sets_l = []
-    for i, (x, y) in enumerate(S_l):
-        rng = derive_rng(seed, _PHASE_LOOP, iteration, i)
-        sets_l.append(rejection_sample(x, y, bp, bm, u, tcfg, rng))
-    sets_u = []
-    for i, x in enumerate(S_u):
-        rng = derive_rng(seed, _PHASE_LOOP, iteration, len(S_l) + i)
-        sets_u.append(rejection_sample(x, None, bp, bm, u, tcfg, rng))
+def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
+    """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``."""
+    sets_l = [
+        rejection_sample(x, y, bp, bm, u, tcfg, derive_rng(seed, *key, i))
+        for i, (x, y) in enumerate(S_l)
+    ]
+    sets_u = [
+        rejection_sample(x, None, bp, bm, u, tcfg, derive_rng(seed, *key, len(S_l) + i))
+        for i, x in enumerate(S_u)
+    ]
     return sets_l, sets_u
+
+
+def _feature_batches(S_l, sets_l, sets_u, shape):
+    """The labeled and unlabeled (m, n, D) feature batches of one sampling pass."""
+    labeled = stack_features(
+        [s.feature_matrix() for s in sets_l], [y for _, y in S_l], shape=shape
+    )
+    return labeled, stack_features([s.feature_matrix() for s in sets_u], shape=shape)
 
 
 def _backtracking_step(value_fn, grad: np.ndarray, u: np.ndarray, j_u: float, gamma: float):
@@ -173,22 +183,15 @@ def init_u0(
     if not S_l_fraction:
         raise InvalidArgumentError("u0 initialization requires labeled examples")
     S_u_fraction = list(S_u_fraction or [])
+    dim = backend_plus.block_dim() + backend_minus.block_dim() + 1
     untilted = replace(tilt_cfg, C=0.0)
-    zero_u = np.zeros(backend_plus.block_dim() + backend_minus.block_dim() + 1)
-    labeled = []
-    for i, (x, y) in enumerate(S_l_fraction):
-        rng = derive_rng(cfg.seed, _PHASE_U0_SAMPLES, i)
-        s = rejection_sample(x, y, backend_plus, backend_minus, zero_u, untilted, rng)
-        labeled.append((s.feature_matrix(), y))
-    unlabeled = []
-    for i, x in enumerate(S_u_fraction):
-        rng = derive_rng(cfg.seed, _PHASE_U0_SAMPLES, len(S_l_fraction) + i)
-        s = rejection_sample(x, None, backend_plus, backend_minus, zero_u, untilted, rng)
-        unlabeled.append(s.feature_matrix())
-
-    m_l, m_u = len(labeled), len(unlabeled)
+    sets_l, sets_u = _sample_sets(
+        S_l_fraction, S_u_fraction, backend_plus, backend_minus, np.zeros(dim), untilted,
+        cfg.seed, _PHASE_U0_SAMPLES,
+    )
+    m_l, m_u = len(sets_l), len(sets_u)
     m, n = m_l + m_u, tilt_cfg.n_draws
-    dim = labeled[0][0].shape[1]
+    labeled, unlabeled = _feature_batches(S_l_fraction, sets_l, sets_u, (n, dim))
 
     def objective(u):
         return surrogate_objective(labeled, unlabeled, u, u, 1.0, m, m_l, m_u, n)
@@ -311,7 +314,7 @@ def train(
     consecutive_small = 0
     for it in range(cfg.max_outer_iters):
         tcfg = replace(tilt_cfg, C=C)
-        sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, u, tcfg, cfg.seed, it)
+        sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, u, tcfg, cfg.seed, _PHASE_LOOP, it)
         n_degraded = sum(s.degraded for s in sets_l) + sum(s.degraded for s in sets_u)
         degraded_counts.append(n_degraded)
         if n_degraded > DEGRADED_ABORT_FRACTION * m:
@@ -337,9 +340,7 @@ def train(
         if minus_samples:
             bm.update_parameters(minus_samples)
 
-        labeled = [(s.feature_matrix(), y) for (_, y), s in zip(S_l, sets_l)]
-        unlabeled = [s.feature_matrix() for s in sets_u]
-
+        labeled, unlabeled = _feature_batches(S_l, sets_l, sets_u, (n, dim))
         report = _evaluate(
             labeled, unlabeled, sets_l, sets_u, u, u0, C, cfg.delta, m, m_l, m_u, n
         )
@@ -436,11 +437,10 @@ def evaluate_bounds(
     m_l, m_u = len(S_l), len(S_u)
     m = m_l + m_u
     tcfg = replace(tilt_cfg, C=task.C, m=m, m_l=max(m_l, 1), m_u=max(m_u, 1))
-    sets_l, sets_u = _sample_sets(
-        S_l, S_u, task.backend_plus, task.backend_minus, task.u, tcfg, seed, 0
-    )
-    labeled = [(s.feature_matrix(), y) for (_, y), s in zip(S_l, sets_l)]
-    unlabeled = [s.feature_matrix() for s in sets_u]
+    bp, bm = task.backend_plus, task.backend_minus
+    sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, task.u, tcfg, seed, _PHASE_LOOP, 0)
+    shape = (tcfg.n_draws, bp.block_dim() + bm.block_dim() + 1)
+    labeled, unlabeled = _feature_batches(S_l, sets_l, sets_u, shape)
     r = _evaluate(
         labeled, unlabeled, sets_l, sets_u, task.u, task.u0, task.C, delta, m, m_l, m_u,
         tcfg.n_draws,

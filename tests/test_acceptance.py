@@ -26,6 +26,7 @@ from pacgibbs.bounds import (
     expected_error,
     grad_C,
     grad_u,
+    stack_features,
     surrogate_objective,
 )
 from pacgibbs.cli import main as cli_main
@@ -63,8 +64,9 @@ class TestCriterion1GradU:
             m_u = int(rng.integers(0, 21))
             feats = rng.normal(size=(m_l + m_u, n, dim))
             feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-            labeled = [(feats[i], int(rng.choice([-1, 1]))) for i in range(m_l)]
-            unlabeled = [feats[m_l + i] for i in range(m_u)]
+            labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
+            labeled = stack_features(feats[:m_l], labels)
+            unlabeled = stack_features(feats[m_l:])
             u = rng.normal(size=dim)
             u0 = rng.normal(size=dim)
             C = float(rng.uniform(0.1, 3.0))
@@ -129,9 +131,9 @@ class TestCriterion3RiskDecomposition:
             dim, n, m_l = int(rng.integers(2, 12)), int(rng.integers(1, 5)), int(rng.integers(1, 15))
             feats = rng.normal(size=(m_l, n, dim))
             feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-            labeled = [(feats[i], int(rng.choice([-1, 1]))) for i in range(m_l)]
+            labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
             u = rng.normal(size=dim) * rng.uniform(0.1, 5.0)
-            r = empirical_risks(labeled, [f for f, _ in labeled], u)
+            r = empirical_risks(stack_features(feats, labels), stack_features(feats), u)
             assembled = max(assembled, abs(r.e_S + 0.5 * r.d_S - r.R_S))
         ok = closed < 1e-10 and assembled < 1e-10
         report(

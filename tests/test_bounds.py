@@ -1,4 +1,4 @@
-"""Risks, bounds, and gradients against quadrature / Monte Carlo / FD oracles."""
+"""Risks, bounds, and gradients against quadrature / Monte Carlo / FD / per-example loop oracles."""
 
 import math
 
@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from pacgibbs.bounds import (
     ClassifierState,
+    _sum_examples,
     bound_semisupervised,
     bound_supervised,
     empirical_risks,
@@ -17,10 +18,11 @@ from pacgibbs.bounds import (
     grad_C,
     grad_u,
     kl_weights,
+    stack_features,
     surrogate_objective,
 )
 from pacgibbs.errors import ContractViolationError, InvalidArgumentError
-from pacgibbs.numerics import finite_diff_gradient, phi_tail
+from pacgibbs.numerics import finite_diff_gradient, gauss_pdf, phi_tail
 
 
 def unit_rows(rng, shape):
@@ -28,11 +30,71 @@ def unit_rows(rng, shape):
     return m / np.linalg.norm(m, axis=-1, keepdims=True)
 
 
-def random_instance(rng, dim=6, n=3, m_l=4, m_u=3):
+def raw_instance(rng, dim=6, n=3, m_l=4, m_u=3):
+    """Unit feature rows of m_l labeled then m_u unlabeled examples, and m_l labels."""
     feats = unit_rows(rng, (m_l + m_u, n, dim))
-    labeled = [(feats[i], int(rng.choice([-1, 1]))) for i in range(m_l)]
-    unlabeled = [feats[m_l + i] for i in range(m_u)]
-    return labeled, unlabeled
+    labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
+    return feats, labels
+
+
+def random_instance(rng, **shape):
+    feats, labels = raw_instance(rng, **shape)
+    m_l = len(labels)
+    return stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
+
+
+# Reference oracle: the per-example loops that the batched functions
+# replaced, over (feature matrix, label) pairs and unlabeled matrices.
+
+
+def loop_surrogate_objective(labeled, unlabeled, u, u0, C, m, m_l, m_u, n):
+    value = kl_weights(u, u0) / m
+    lab = 0.0
+    for feats, y in labeled:
+        lab += phi_tail(y * (feats @ u)).mean()
+    value += C * lab / m_l
+    if m_u > 0:
+        unl = 0.0
+        for feats in unlabeled:
+            a = feats @ u
+            unl += (phi_tail(a) * phi_tail(-a)).mean()
+        value += C * unl / m_u
+    return float(value)
+
+
+def loop_grad_u(labeled, unlabeled, u, u0, C, m, m_l, m_u, n):
+    grad = (u - u0) / m
+    lab = np.zeros_like(grad)
+    for feats, y in labeled:
+        a = feats @ u
+        lab += (gauss_pdf(y * a) * y) @ feats / feats.shape[0]
+    grad -= C * lab / m_l
+    if m_u > 0:
+        unl = np.zeros_like(grad)
+        for feats in unlabeled:
+            a = feats @ u
+            unl += (gauss_pdf(a) * (phi_tail(a) - phi_tail(-a))) @ feats / feats.shape[0]
+        grad += C * unl / m_u
+    return grad
+
+
+def loop_empirical_risks(labeled, unlabeled, u, exact_pairing=False):
+    e_terms = []
+    r_terms = []
+    for feats, y in labeled:
+        p = phi_tail(y * (feats @ u))
+        r_terms.append(p.mean())
+        e_terms.append(p.mean() ** 2 if exact_pairing else (p * p).mean())
+    d_terms = []
+    for feats in unlabeled:
+        a = feats @ u
+        p, q = phi_tail(a), phi_tail(-a)
+        d_terms.append(2.0 * p.mean() * q.mean() if exact_pairing else (2.0 * p * q).mean())
+    return (
+        float(np.mean(e_terms)),
+        float(np.mean(d_terms)) if d_terms else 0.0,
+        float(np.mean(r_terms)),
+    )
 
 
 class TestExpectedError:
@@ -113,42 +175,44 @@ class TestKlWeights:
 class TestEmpiricalRisks:
     def test_all_zero_margins(self):
         feats = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-        labeled = [(feats[0], 1), (feats[1], -1)]
-        r = empirical_risks(labeled, [feats[0], feats[1]], np.zeros(2))
+        labeled = stack_features(feats, [1, -1])
+        r = empirical_risks(labeled, stack_features(feats), np.zeros(2))
         assert r.R_S == pytest.approx(0.5)
         assert r.d_S == pytest.approx(0.5)
 
     def test_confident_correct(self):
         u = np.array([60.0, 0.0])
-        labeled = [(np.array([[1.0, 0.0]]), 1), (np.array([[-1.0, 0.0]]), -1)]
-        r = empirical_risks(labeled, [], u)
+        labeled = stack_features([[[1.0, 0.0]], [[-1.0, 0.0]]], [1, -1])
+        r = empirical_risks(labeled, stack_features([], shape=(1, 2)), u)
         assert r.e_S < 1e-12 and r.R_S < 1e-12
         assert r.d_S == 0.0
 
     def test_hand_margins_cancel(self):
         u = np.array([1.0, 0.0])
-        labeled = [(np.array([[1.0, 0.0]]), 1), (np.array([[1.0, 0.0]]), -1)]
-        r = empirical_risks(labeled, [], u)
+        labeled = stack_features([[[1.0, 0.0]], [[1.0, 0.0]]], [1, -1])
+        r = empirical_risks(labeled, stack_features([], shape=(1, 2)), u)
         assert r.R_S == pytest.approx(0.5, abs=1e-12)  # (phi(1)+phi(-1))/2
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_decomposition_identity_same_set(self, exact):
         rng = np.random.default_rng(3)
-        labeled, _ = random_instance(rng)
+        feats, labels = raw_instance(rng)
         u = rng.normal(size=6)
-        r = empirical_risks(labeled, [f for f, _ in labeled], u, exact_pairing=exact)
+        labeled, same_rows = stack_features(feats[:4], labels), stack_features(feats[:4])
+        r = empirical_risks(labeled, same_rows, u, exact_pairing=exact)
         assert r.e_S + 0.5 * r.d_S == pytest.approx(r.R_S, abs=1e-10)
 
     def test_empty_labeled_rejected(self):
+        empty = stack_features([], shape=(1, 2))
         with pytest.raises(InvalidArgumentError):
-            empirical_risks([], [], np.zeros(2))
+            empirical_risks(empty, empty, np.zeros(2))
 
 
 class TestSurrogateObjective:
     def test_zero_margin_terms(self):
         feats = np.array([[[1.0, 0.0]]])
-        labeled = [(feats[0], 1), (feats[0], -1)]
-        unlabeled = [feats[0], feats[0]]
+        labeled = stack_features([feats[0], feats[0]], [1, -1])
+        unlabeled = stack_features([feats[0], feats[0]])
         C = 1.6
         u = np.zeros(2)
         val = surrogate_objective(labeled, unlabeled, u, u, C, 4, 2, 2, 1)
@@ -164,7 +228,7 @@ class TestSurrogateObjective:
     def test_double_entry_reimplementation(self):
         # oracle: direct nested-loop transcription with stdlib erfc
         rng = np.random.default_rng(5)
-        labeled, unlabeled = random_instance(rng)
+        feats, labels = raw_instance(rng)
         u, u0 = rng.normal(size=6), rng.normal(size=6)
         C, m, m_l, m_u, n = 1.3, 7, 4, 3, 3
 
@@ -172,13 +236,14 @@ class TestSurrogateObjective:
             return 0.5 * math.erfc(a / math.sqrt(2.0))
 
         oracle = sum((ui - vi) ** 2 for ui, vi in zip(u, u0)) / (2 * m)
-        for feats, y in labeled:
+        for rows, y in zip(feats[:m_l], labels):
             for j in range(n):
-                oracle += C / (m_l * n) * tail(y * float(feats[j] @ u))
-        for feats in unlabeled:
+                oracle += C / (m_l * n) * tail(y * float(rows[j] @ u))
+        for rows in feats[m_l:]:
             for j in range(n):
-                a = float(feats[j] @ u)
+                a = float(rows[j] @ u)
                 oracle += C / (m_u * n) * tail(a) * tail(-a)
+        labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
         val = surrogate_objective(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
         assert val == pytest.approx(oracle, abs=1e-12)
 
@@ -199,11 +264,11 @@ class TestGradU:
 
     def test_zero_margin_unlabeled_term_vanishes(self):
         feats = np.array([[[1.0, 0.0]]])
-        labeled = [(np.array([[0.0, 1.0]]), 1)]
-        unlabeled = [feats[0]]
+        labeled = stack_features([[[0.0, 1.0]]], [1])
+        unlabeled = stack_features(feats)
         u = np.array([0.0, 0.5])  # margin 0 on the unlabeled feature
         g_with = grad_u(labeled, unlabeled, u, u, 2.0, 2, 1, 1, 1)
-        g_without = grad_u(labeled, [], u, u, 2.0, 1, 1, 0, 1)
+        g_without = grad_u(labeled, unlabeled[:0], u, u, 2.0, 1, 1, 0, 1)
         assert g_with == pytest.approx(g_without * np.array([1.0, 1.0]), abs=1e-12)
 
     def test_matches_finite_differences(self):
@@ -220,6 +285,90 @@ class TestGradU:
             numeric = finite_diff_gradient(j_of, u, 1e-6)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-5
+
+
+class TestStackFeatures:
+    def test_labels_sign_the_rows(self):
+        rng = np.random.default_rng(14)
+        feats = unit_rows(rng, (3, 2, 4))
+        batch = stack_features(feats, [1, -1, 1])
+        assert batch.shape == (3, 2, 4)
+        assert np.array_equal(batch[1], -feats[1]) and np.array_equal(batch[2], feats[2])
+
+    def test_rejects_non_unit_row(self):
+        feats = unit_rows(np.random.default_rng(15), (2, 3, 4))
+        feats[1, 2] *= 1.01
+        with pytest.raises(ContractViolationError):
+            stack_features(feats, [1, -1])
+
+    def test_rejects_nan_row(self):
+        feats = unit_rows(np.random.default_rng(16), (2, 3, 4))
+        feats[0, 1] = np.nan
+        with pytest.raises(ContractViolationError):
+            stack_features(feats)
+
+    def test_rejects_bad_labels(self):
+        feats = unit_rows(np.random.default_rng(17), (2, 1, 3))
+        for labels in ([1, 0], [1], [1, -1, 1]):
+            with pytest.raises(InvalidArgumentError):
+                stack_features(feats, labels)
+
+    def test_empty_set_needs_its_row_shape(self):
+        assert stack_features([], shape=(5, 7)).shape == (0, 5, 7)
+        with pytest.raises(InvalidArgumentError):
+            stack_features([])
+
+    def test_empty_unlabeled_batch_gives_zero_disagreement(self):
+        labeled, unlabeled = random_instance(np.random.default_rng(18), m_u=0)
+        assert unlabeled.shape == (0, 3, 6)
+        r = empirical_risks(labeled, unlabeled, np.ones(6))
+        assert r.d_S == 0.0
+
+
+class TestBatchedMatchesLoops:
+    """The batched J, grad_u and risks give the bits of the per-example loops."""
+
+    def test_bit_identical_on_random_instances(self):
+        rng = np.random.default_rng(19)
+        for trial in range(240):
+            m_l = int(rng.integers(1, 60))
+            m_u = 0 if trial % 3 == 0 else int(rng.integers(1, 30))
+            n = 1 if trial % 5 == 0 else int(rng.integers(2, 9))
+            dim = int(rng.integers(3, 121))
+            feats, labels = raw_instance(rng, dim=dim, n=n, m_l=m_l, m_u=m_u)
+            # at |u| >= 50 gauss_pdf underflows to signed zeros
+            scale = (0.3, 3.0, 50.0, 100.0)[trial // 3 % 4]
+            u = rng.normal(size=dim) * scale
+            u0 = u.copy() if trial % 2 else rng.normal(size=dim)
+            if trial % 7 == 0:  # signed zeros in u - u0
+                u[:2], u0[:2] = -0.0, 0.0
+            C = float(rng.uniform(0.1, 3.0))
+            args = (u, u0, C, m_l + m_u, m_l, m_u, n)
+
+            pairs = list(zip(feats[:m_l], labels))
+            rows_u = list(feats[m_l:])
+            labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
+            assert surrogate_objective(labeled, unlabeled, *args) == loop_surrogate_objective(
+                pairs, rows_u, *args
+            )
+            assert grad_u(labeled, unlabeled, *args).tobytes() == loop_grad_u(
+                pairs, rows_u, *args
+            ).tobytes()
+            r = empirical_risks(labeled, unlabeled, u)
+            assert (r.e_S, r.d_S, r.R_S) == loop_empirical_risks(pairs, rows_u, u)
+            # exact pairing squares with x * x where the loop used pow(x, 2),
+            # which can differ in the last bit
+            r = empirical_risks(labeled, unlabeled, u, exact_pairing=True)
+            e_S, d_S, R_S = loop_empirical_risks(pairs, rows_u, u, exact_pairing=True)
+            assert (r.d_S, r.R_S) == (d_S, R_S)
+            assert r.e_S == pytest.approx(e_S, rel=1e-14, abs=1e-300)
+
+    def test_example_sums_run_left_to_right_from_plus_zero(self):
+        values = np.array([[-0.0, 1e-300, 3.0], [-0.0, -1e-300, 1e16], [-0.0, 0.0, -1e16]])
+        total = np.zeros(3)
+        for row in values:
+            total += row
+        assert _sum_examples(values).tobytes() == total.tobytes()
 
 
 class TestBounds:
@@ -301,19 +450,20 @@ class TestJensenDomination:
         # estimates; this holds deterministically by convexity.
         rng = np.random.default_rng(10)
         for _ in range(10):
-            labeled, unlabeled = random_instance(rng)
+            feats, labels = raw_instance(rng)
             u, u0 = rng.normal(size=6) * 2, rng.normal(size=6)
             C, m_l, m_u, n = float(rng.uniform(0.1, 2.0)), 4, 3, 3
             m = m_l + m_u
             log_z = []
-            for feats, y in labeled:
-                eps = (m**2 / m_l) * phi_tail(y * (feats @ u))
+            for rows, y in zip(feats[:m_l], labels):
+                eps = (m**2 / m_l) * phi_tail(y * (rows @ u))
                 log_z.append(np.log(np.mean(np.exp(-C * eps))))
-            for feats in unlabeled:
-                a = feats @ u
+            for rows in feats[m_l:]:
+                a = rows @ u
                 eps = (m**2 / m_u) * phi_tail(a) * phi_tail(-a)
                 log_z.append(np.log(np.mean(np.exp(-C * eps))))
             plug_in = kl_weights(u, u0) / m - sum(log_z) / m**2
+            labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
             surrogate = surrogate_objective(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
             assert surrogate >= plug_in - 1e-12
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import two_cluster_data
-from pacgibbs.bounds import bound_supervised, surrogate_objective
+from pacgibbs.bounds import bound_supervised, stack_features, surrogate_objective
 from pacgibbs.errors import InvalidArgumentError, TrainingAbort
 from pacgibbs.gmm import GmmBackend
 from pacgibbs.sampler import TiltConfig
@@ -88,17 +88,20 @@ class TestInitU0:
         from pacgibbs.features import assemble
 
         rng = np.random.default_rng(99)
-        feats = []
+        feats, labels = [], []
         for x, y in S_l:
             a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
             rows = []
             for _ in range(5):
                 zp, zm = bp.sample_hidden(x, a_p, rng), bm.sample_hidden(x, a_m, rng)
                 rows.append(assemble(bp.feature_block(x, zp, a_p), bm.feature_block(x, zm, a_m)).phi_bar)
-            feats.append((np.stack(rows), y))
+            feats.append(np.stack(rows))
+            labels.append(y)
+        labeled = stack_features(feats, labels)
+        unlabeled = stack_features([], shape=labeled.shape[1:])
 
         def objective(u):
-            return surrogate_objective(feats, [], u, u, 1.0, len(feats), len(feats), 0, 5)
+            return surrogate_objective(labeled, unlabeled, u, u, 1.0, len(feats), len(feats), 0, 5)
 
         dim = u0.shape[0]
         random_best = min(
