@@ -39,7 +39,7 @@ from .gmm import GmmBackend, GmmParams
 from .hmm import HmmBackend, HmmParams
 from .numerics import finite_diff_gradient, gauss_pdf, phi_tail
 from .predictor import Prediction, evaluate, predict
-from .sampler import HiddenSampleSet, TiltConfig, rejection_sample, tilt_exponent
+from .sampler import HiddenSampleSet, TiltConfig, rejection_sample, tilt_exponents
 from .trainer import (
     TrainConfig,
     TrainedTask,

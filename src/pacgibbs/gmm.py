@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidArgumentError
 from .features import GenerativeBackend
@@ -61,6 +60,22 @@ def _log_component_densities(x: np.ndarray, params: GmmParams) -> np.ndarray:
     )
 
 
+def _logsumexp(v: np.ndarray) -> float:
+    """``scipy.special.logsumexp(v)`` of a 1-d array, by scipy 1.17's own arithmetic.
+
+    The largest entries are counted (``m``) and left out of the shifted
+    sum, which is then formed over the full-length array as scipy forms
+    it; a non-finite result falls back to the direct formula, as in scipy.
+    """
+    top = v.max()
+    ties = v == top
+    m = float(np.count_nonzero(ties))
+    rest = np.exp(v - top)
+    rest[ties] = 0.0
+    out = np.log1p(rest.sum() / m) + np.log(m) + top
+    return out if np.isfinite(out) else np.log(np.exp(v).sum())
+
+
 def responsibilities(
     x: np.ndarray, params: GmmParams, posterior_floor: float = POSTERIOR_FLOOR
 ) -> np.ndarray:
@@ -70,34 +85,29 @@ def responsibilities(
     floored at ``posterior_floor`` and renormalized.
     """
     log_a = np.log(params.weights) + _log_component_densities(np.asarray(x, float), params)
-    a = np.exp(log_a - logsumexp(log_a))
+    a = np.exp(log_a - _logsumexp(log_a))
     a = np.maximum(a, posterior_floor)
     return a / a.sum()
 
 
-def sample_z(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw from responsibilities ``a``, as a one-hot vector."""
-    k = min(int(np.searchsorted(np.cumsum(a), rng.random())), a.shape[0] - 1)
-    z = np.zeros_like(a)
-    z[k] = 1.0
+def sample_z(a: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Categorical draws from responsibilities ``a``, one per uniform, as (k, K) one-hot rows."""
+    k = np.minimum(np.searchsorted(np.cumsum(a), uniforms), a.shape[0] - 1)
+    z = np.zeros((uniforms.shape[0], a.shape[0]))
+    z[np.arange(k.shape[0]), k] = 1.0
     return z
 
 
 def feature_block_gmm(x: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Feature block of dimension K(2d+2) for the realization (x, z, a)."""
+    """(k, K(2d+2)) feature blocks for the stacked one-hot draws ``z`` of (x, a)."""
     x = np.asarray(x, dtype=float)
-    per_comp = np.empty((z.shape[0], 2 * x.shape[0] + 2))
-    per_comp[:, : x.shape[0]] = x
-    per_comp[:, x.shape[0] : 2 * x.shape[0]] = x * x
-    per_comp[:, 2 * x.shape[0]] = 1.0
-    per_comp[:, 2 * x.shape[0] + 1] = np.log(a)
-    return (z[:, None] * per_comp).ravel()
-
-
-def joint_log_density_gmm(x: np.ndarray, z: np.ndarray, params: GmmParams) -> float:
-    """log P(x, z) = sum_k z_k [log pi_k + log N(x; mu_k, diag sigma2_k)]."""
-    log_comp = np.log(params.weights) + _log_component_densities(np.asarray(x, float), params)
-    return float(z @ log_comp)
+    d = x.shape[0]
+    per_comp = np.empty((a.shape[0], 2 * d + 2))
+    per_comp[:, :d] = x
+    per_comp[:, d : 2 * d] = x * x
+    per_comp[:, 2 * d] = 1.0
+    per_comp[:, 2 * d + 1] = np.log(a)
+    return (z[:, :, None] * per_comp).reshape(z.shape[0], -1)
 
 
 def m_step_gmm(
@@ -186,11 +196,11 @@ class GmmBackend(GenerativeBackend):
     def approx_posterior(self, x) -> np.ndarray:
         return responsibilities(x, self.params, self.posterior_floor)
 
-    def sample_hidden(self, x, posterior, rng: np.random.Generator) -> np.ndarray:
-        return sample_z(posterior, rng)
+    def uniforms_per_draw(self, x) -> int:
+        return 1
 
-    def joint_log_density(self, x, h) -> float:
-        return joint_log_density_gmm(x, h, self.params)
+    def sample_hidden(self, x, posterior, uniforms: np.ndarray) -> np.ndarray:
+        return sample_z(posterior, uniforms[:, 0])
 
     def feature_block(self, x, h, posterior) -> np.ndarray:
         return feature_block_gmm(x, h, posterior)
@@ -218,12 +228,3 @@ class GmmBackend(GenerativeBackend):
 
     def clone(self) -> "GmmBackend":
         return GmmBackend(self.params.copy(), self.variance_floor.copy(), self.posterior_floor)
-
-    def marginal_log_likelihood(self, data: np.ndarray) -> float:
-        """Mean per-example log marginal density; used by EM diagnostics."""
-        data = np.atleast_2d(np.asarray(data, dtype=float))
-        total = 0.0
-        for x in data:
-            log_a = np.log(self.params.weights) + _log_component_densities(x, self.params)
-            total += logsumexp(log_a)
-        return float(total / data.shape[0])

@@ -4,6 +4,9 @@ Hidden variable: a state path ``q`` (stored as an int array of state
 indices, one per time step).  Inference uses the scaled forward-backward
 recursions; exact path draws use forward-filter backward-sampling, so the
 proposal distribution is exactly P(q | x) as the rejection rule requires.
+Paths are drawn in stacks: k paths of a length-L sequence use a (k, L)
+block of uniforms, column ``j`` for time step ``L-1-j``, in the order a
+single backward pass consumes them.
 
 The feature block for a realization ``(x, q)`` stacks, in order::
 
@@ -110,14 +113,12 @@ def forward_backward(x: np.ndarray, params: HmmParams, prob_floor: float = PROB_
         betas[t] = params.transition @ (emit[:, t + 1] * betas[t + 1]) / scales[t + 1]
 
     gamma = alphas * betas
-    xi = np.empty((L - 1, M, M))
-    for t in range(L - 1):
-        xi[t] = (
-            alphas[t][:, None]
-            * params.transition
-            * (emit[:, t + 1] * betas[t + 1])[None, :]
-            / scales[t + 1]
-        )
+    xi = (
+        alphas[:-1, :, None]
+        * params.transition
+        * (emit[:, 1:].T * betas[1:])[:, None, :]
+        / scales[1:, None, None]
+    )
 
     counts = xi.sum(axis=0) if L > 1 else np.zeros((M, M))
     row_mass = counts.sum(axis=1)
@@ -135,50 +136,51 @@ def forward_backward(x: np.ndarray, params: HmmParams, prob_floor: float = PROB_
     )
 
 
-def _categorical(p: np.ndarray, rng: np.random.Generator) -> int:
-    return min(int(np.searchsorted(np.cumsum(p), p.sum() * rng.random())), p.shape[0] - 1)
+def sample_paths(params: HmmParams, posterior: HmmPosterior, uniforms: np.ndarray) -> np.ndarray:
+    """k exact draws from P(q | x) by backward sampling of the forward filter.
 
-
-def sample_path(
-    x: np.ndarray, params: HmmParams, posterior: HmmPosterior, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draw from P(q | x) by backward sampling of the forward filter."""
+    Returns a (k, L) int array; row ``i`` uses uniforms row ``i``, column
+    ``j`` at time step ``L-1-j``.  A step picks the first state whose
+    running total reaches ``total * u``.  Every total is the 1-d ``sum()``
+    of that row: numpy's 1-d sum adds eight-wide blocks pairwise, so for
+    eight or more states it can differ in the last bit from ``cumsum`` and
+    from a sum along an axis of the stack.
+    """
     alphas = posterior.alphas
-    L = alphas.shape[0]
-    q = np.empty(L, dtype=int)
-    q[L - 1] = _categorical(alphas[L - 1], rng)
-    for t in range(L - 2, -1, -1):
-        q[t] = _categorical(alphas[t] * params.transition[:, q[t + 1]], rng)
+    L, M = alphas.shape
+    q = np.empty((uniforms.shape[0], L), dtype=int)
+    p = alphas[L - 1][None, :]  # one row: the last step of every path uses it
+    for j, t in enumerate(range(L - 1, -1, -1)):
+        if t < L - 1:
+            p = alphas[t] * params.transition.T[q[:, t + 1]]
+        totals = np.array([row.sum() for row in p])
+        below = np.cumsum(p, axis=1) < (totals * uniforms[:, j])[:, None]
+        q[:, t] = np.minimum(below.sum(axis=1), M - 1)
     return q
 
 
 def feature_block_hmm(
     x: np.ndarray, q: np.ndarray, transition_post: np.ndarray, n_symbols: int
 ) -> np.ndarray:
-    """Feature block of dimension M + 2*M^2 + M*K_out for the path ``q``."""
+    """(k, M + 2*M^2 + M*K_out) feature blocks for the stacked paths ``q`` of ``x``."""
+    k, L = q.shape
     M = transition_post.shape[0]
-    init = np.zeros(M)
-    init[q[0]] = 1.0
-    trans_counts = np.zeros((M, M))
-    np.add.at(trans_counts, (q[:-1], q[1:]), 1.0)
-    emit_counts = np.zeros((M, n_symbols))
-    np.add.at(emit_counts, (q, x), 1.0)
+    draw = np.arange(k)[:, None]
+    init = np.zeros((k, M))
+    init[draw[:, 0], q[:, 0]] = 1.0
+    trans_idx = (draw * M + q[:, :-1]) * M + q[:, 1:]
+    trans_counts = np.bincount(trans_idx.ravel(), minlength=k * M * M).reshape(k, M * M)
+    emit_idx = (draw * M + q) * n_symbols + x
+    emit_counts = np.bincount(emit_idx.ravel(), minlength=k * M * n_symbols)
     return np.concatenate(
         [
             init,
-            trans_counts.ravel(),
-            (trans_counts * np.log(transition_post)).ravel(),
-            emit_counts.ravel(),
-        ]
+            trans_counts,
+            trans_counts * np.log(transition_post).ravel(),
+            emit_counts.reshape(k, M * n_symbols),
+        ],
+        axis=1,
     )
-
-
-def joint_log_density_hmm(x: np.ndarray, q: np.ndarray, params: HmmParams) -> float:
-    """log P(x, q) along the path: initial + transitions + emissions."""
-    total = np.log(params.initial[q[0]])
-    total += np.log(params.transition[q[:-1], q[1:]]).sum()
-    total += np.log(params.emission[q, x]).sum()
-    return float(total)
 
 
 def m_step_hmm(
@@ -260,11 +262,11 @@ class HmmBackend(GenerativeBackend):
     def approx_posterior(self, x) -> HmmPosterior:
         return forward_backward(x, self.params, self.prob_floor)
 
-    def sample_hidden(self, x, posterior, rng: np.random.Generator) -> np.ndarray:
-        return sample_path(x, self.params, posterior, rng)
+    def uniforms_per_draw(self, x) -> int:
+        return len(x)
 
-    def joint_log_density(self, x, h) -> float:
-        return joint_log_density_hmm(np.asarray(x, dtype=int), h, self.params)
+    def sample_hidden(self, x, posterior, uniforms: np.ndarray) -> np.ndarray:
+        return sample_paths(self.params, posterior, uniforms)
 
     def feature_block(self, x, h, posterior) -> np.ndarray:
         return feature_block_hmm(

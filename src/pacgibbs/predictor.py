@@ -4,6 +4,11 @@ A prediction draws ``n`` hidden pairs from the untilted model posteriors,
 scores each realized feature with the trained weight mean, and thresholds
 the average at zero.  Ties (score exactly 0) resolve to +1; this is a
 fixed, documented convention and tests pin it.
+
+The ``n`` pairs are drawn as one stack from an ``(n, U_plus + U_minus)``
+block of uniforms, each row holding the positive model's uniforms and
+then the negative model's, which is the order in which ``n`` draws made
+one at a time consume them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, assemble
+from .features import GenerativeBackend, assemble, row_dots
 
 
 @dataclass(frozen=True)
@@ -51,17 +56,15 @@ def vote_scores(
         raise InvalidArgumentError("need at least one vote")
     post_plus = backend_plus.approx_posterior(x)
     post_minus = backend_minus.approx_posterior(x)
-    votes = []
-    for _ in range(n):
-        h_plus = backend_plus.sample_hidden(x, post_plus, rng)
-        h_minus = backend_minus.sample_hidden(x, post_minus, rng)
-        feature = assemble(
-            backend_plus.feature_block(x, h_plus, post_plus),
-            backend_minus.feature_block(x, h_minus, post_minus),
-        )
-        vec = feature.phi_bar if normalized else feature.phi
-        votes.append(float(u @ vec))
-    return votes
+    n_plus = backend_plus.uniforms_per_draw(x)
+    uniforms = rng.random((n, n_plus + backend_minus.uniforms_per_draw(x)))
+    h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
+    h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:])
+    phi, phi_bar = assemble(
+        backend_plus.feature_block(x, h_plus, post_plus),
+        backend_minus.feature_block(x, h_minus, post_minus),
+    )
+    return row_dots(u, phi_bar if normalized else phi).tolist()
 
 
 def predict(x, task, n: int = 5, rng: np.random.Generator | None = None) -> Prediction:

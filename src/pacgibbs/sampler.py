@@ -8,6 +8,13 @@ factor never exceeds 1, proposing from the exact model posteriors
 valid rejection sampler, and the acceptance rate is an unbiased estimate
 of the tilt's normalizing constant.
 
+Proposals are made in chunks of stacked draws.  Each attempt uses one
+row of uniforms: the positive model's draw, then the negative model's,
+then the accept test.  A chunk holds only attempts that are certain to
+run, so the sampler consumes exactly the random numbers, in the same
+order, as a loop making one attempt at a time, and leaves the generator
+in the same state.
+
 Weight scale: the literal per-example weights grow like m^2/m_l, which
 drives acceptance probabilities to zero for any realistic training-set
 size; the default ``per_example`` scale normalizes the labeled and
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, StochasticFeature, assemble
+from .features import GenerativeBackend, StochasticFeature, assemble, row_dots
 from .numerics import phi_tail
 
 WEIGHT_SCALES = ("per_example", "m_squared")
@@ -80,18 +87,18 @@ class HiddenSampleSet:
         return float(np.mean([e for _, _, _, e in self.draws]))
 
 
-def tilt_exponent(
-    feature: StochasticFeature, y: int | None, u: np.ndarray, cfg: TiltConfig
-) -> float:
-    """Log acceptance probability of one proposal; always <= 0.
+def tilt_exponents(
+    phi_bar: np.ndarray, y: int | None, u: np.ndarray, cfg: TiltConfig
+) -> np.ndarray:
+    """Log acceptance probabilities of k proposals (rows of ``phi_bar``); all <= 0.
 
     Labeled examples are weighted by the expected misclassification,
     unlabeled ones by the expected disagreement (halved, matching the
     1/(2 m_u) weight in the tilt definition).
     """
     if cfg.C == 0.0:
-        return 0.0
-    a = float(u @ feature.phi_bar)
+        return np.zeros(phi_bar.shape[0])
+    a = row_dots(u, phi_bar)
     if y is None:
         coef = cfg.m**2 / cfg.m_u if cfg.weight_scale == "m_squared" else 1.0
         weight = coef * phi_tail(a) * phi_tail(-a)
@@ -113,33 +120,40 @@ def rejection_sample(
     """Draw ``cfg.n_draws`` hidden pairs from the tilted posterior of ``x``.
 
     Proposals come from the exact untilted posteriors of both models; a
-    pair is accepted with probability ``exp(tilt_exponent)``.  If the
+    pair is accepted with probability ``exp(tilt exponent)``.  If the
     attempt budget runs out first, the n_draws proposals with the largest
     exponents seen so far are kept and the result is flagged degraded.
     """
     post_plus = backend_plus.approx_posterior(x)
     post_minus = backend_minus.approx_posterior(x)
+    n_plus = backend_plus.uniforms_per_draw(x)
+    n_minus = backend_minus.uniforms_per_draw(x)
 
     accepted: list[tuple[object, object, StochasticFeature, float]] = []
     best: list[tuple[float, int, tuple]] = []  # min-heap of (exponent, tiebreak, draw)
     attempts = 0
     while len(accepted) < cfg.n_draws and attempts < cfg.max_attempts:
-        attempts += 1
-        h_plus = backend_plus.sample_hidden(x, post_plus, rng)
-        h_minus = backend_minus.sample_hidden(x, post_minus, rng)
-        feature = assemble(
+        # Each of these attempts runs whatever the earlier ones in the chunk decide.
+        k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
+        uniforms = rng.random((k, n_plus + n_minus + 1))
+        h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
+        h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:-1])
+        phi, phi_bar = assemble(
             backend_plus.feature_block(x, h_plus, post_plus),
             backend_minus.feature_block(x, h_minus, post_minus),
         )
-        exponent = tilt_exponent(feature, y, u, cfg)
-        if np.log(rng.random()) < exponent:
-            accepted.append((h_plus, h_minus, feature, exponent))
-        else:
-            entry = (exponent, attempts, (h_plus, h_minus, feature, exponent))
-            if len(best) < cfg.n_draws:
-                heapq.heappush(best, entry)
+        exponents = tilt_exponents(phi_bar, y, u, cfg)
+        accepts = np.log(uniforms[:, -1]) < exponents
+        for i in range(k):
+            attempts += 1
+            exponent = float(exponents[i])
+            draw = (h_plus[i], h_minus[i], StochasticFeature(phi[i], phi_bar[i]), exponent)
+            if accepts[i]:
+                accepted.append(draw)
+            elif len(best) < cfg.n_draws:
+                heapq.heappush(best, (exponent, attempts, draw))
             else:
-                heapq.heappushpop(best, entry)
+                heapq.heappushpop(best, (exponent, attempts, draw))
 
     rate = len(accepted) / attempts
     if len(accepted) == cfg.n_draws:

@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds
 from .gmm import GmmBackend, GmmParams
 from .numerics import finite_diff_gradient, gauss_pdf, phi_tail
-from .sampler import TiltConfig, rejection_sample, tilt_exponent
+from .sampler import TiltConfig, rejection_sample, tilt_exponents
 from .features import assemble
 
 
@@ -138,13 +138,11 @@ def check_sampler_enumeration(n_accepted: int = 50000) -> CheckResult:
     cfg = TiltConfig(C=2.0, m=4, m_l=2, m_u=2, n_draws=n_accepted, max_attempts=60 * n_accepted)
     a_p = bp.approx_posterior(x)
     a_m = bm.approx_posterior(x)
-    target = np.zeros((2, 2))
-    for zp in range(2):
-        for zm in range(2):
-            z_p = np.eye(2)[zp]
-            z_m = np.eye(2)[zm]
-            feat = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
-            target[zp, zm] = a_p[zp] * a_m[zm] * np.exp(tilt_exponent(feat, 1, u, cfg))
+    # Every (z_plus, z_minus) pair as one stack, z_plus-major.
+    z_p, z_m = np.repeat(np.eye(2), 2, axis=0), np.tile(np.eye(2), (2, 1))
+    _, phi_bar = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
+    accept = np.exp(tilt_exponents(phi_bar, 1, u, cfg)).reshape(2, 2)
+    target = np.outer(a_p, a_m) * accept
     target /= target.sum()
     result = rejection_sample(x, 1, bp, bm, u, cfg, rng)
     freq = np.zeros((2, 2))

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from pacgibbs.features import assemble
+from pacgibbs.sampler import tilt_exponents
 from pacgibbs.hmm import HmmBackend, HmmParams
 from pacgibbs.selftest import tiny_gmm_pair  # noqa: F401  (shared with the test modules)
 
@@ -37,20 +38,16 @@ def enumerate_gmm_tilt(x, y, bp, bm, u, cfg):
     where the normalizer is the acceptance probability under the
     untilted proposal.
     """
-    from pacgibbs.sampler import tilt_exponent
-
     a_p = bp.approx_posterior(x)
     a_m = bm.approx_posterior(x)
-    K_p, K_m = a_p.size, a_m.size
+    pairs = list(itertools.product(range(a_p.size), range(a_m.size)))
+    z_p = np.eye(a_p.size)[[kp for kp, _ in pairs]]
+    z_m = np.eye(a_m.size)[[km for _, km in pairs]]
+    _, phi_bar = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
+    accepts = np.exp(tilt_exponents(phi_bar, y, u, cfg))
     mass = {}
     z_norm = 0.0
-    for kp, km in itertools.product(range(K_p), range(K_m)):
-        z_p = np.zeros(K_p)
-        z_p[kp] = 1.0
-        z_m = np.zeros(K_m)
-        z_m[km] = 1.0
-        feat = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
-        accept = np.exp(tilt_exponent(feat, y, u, cfg))
+    for (kp, km), accept in zip(pairs, accepts):
         w = a_p[kp] * a_m[km] * accept
         mass[(kp, km)] = w
         z_norm += w
@@ -76,26 +73,24 @@ def enumerate_hmm_joint(x, params):
 
 def enumerate_hmm_tilt(x, y, bp, bm, u, cfg):
     """Brute-force tilted posterior over all (q_plus, q_minus) path pairs."""
-    from pacgibbs.sampler import tilt_exponent
-
     post_p = bp.approx_posterior(x)
     post_m = bm.approx_posterior(x)
     joint_p = enumerate_hmm_joint(x, bp.params)
     joint_m = enumerate_hmm_joint(x, bm.params)
     lik_p = sum(joint_p.values())
     lik_m = sum(joint_m.values())
+    pairs = list(itertools.product(joint_p, joint_m))
+    _, phi_bar = assemble(
+        bp.feature_block(x, np.array([qp for qp, _ in pairs]), post_p),
+        bm.feature_block(x, np.array([qm for _, qm in pairs]), post_m),
+    )
+    accepts = np.exp(tilt_exponents(phi_bar, y, u, cfg))
     mass = {}
     z_norm = 0.0
-    for qp, pp in joint_p.items():
-        for qm, pm in joint_m.items():
-            feat = assemble(
-                bp.feature_block(x, np.array(qp), post_p),
-                bm.feature_block(x, np.array(qm), post_m),
-            )
-            accept = np.exp(tilt_exponent(feat, y, u, cfg))
-            w = (pp / lik_p) * (pm / lik_m) * accept
-            mass[(qp, qm)] = w
-            z_norm += w
+    for (qp, qm), accept in zip(pairs, accepts):
+        w = (joint_p[qp] / lik_p) * (joint_m[qm] / lik_m) * accept
+        mass[(qp, qm)] = w
+        z_norm += w
     probs = {k: v / z_norm for k, v in mass.items()}
     return probs, z_norm
 

@@ -1,0 +1,225 @@
+"""Per-draw reference implementations of the stacked proposal path.
+
+These are the loops that stacked drawing replaced: one hidden draw, one
+feature vector and one random number at a time.  The bit-identity tests
+compare the package's stacked sampler and predictor with them.  The
+joint and marginal densities are test oracles the package does not need.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import numpy as np
+from scipy.special import logsumexp
+
+from pacgibbs.errors import InvalidFeatureError
+from pacgibbs.features import StochasticFeature
+from pacgibbs.gmm import GmmBackend
+from pacgibbs.hmm import HmmBackend
+from pacgibbs.numerics import phi_tail
+from pacgibbs.sampler import HiddenSampleSet
+
+
+def assemble(block_plus, block_minus) -> StochasticFeature:
+    bp = np.asarray(block_plus, dtype=float).ravel()
+    bm = np.asarray(block_minus, dtype=float).ravel()
+    if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bm))):
+        raise InvalidFeatureError("feature blocks must be finite")
+    phi = np.concatenate([bp, bm, [1.0]])
+    return StochasticFeature(phi=phi, phi_bar=phi / np.linalg.norm(phi))
+
+
+# --- mixture ------------------------------------------------------------------
+
+
+def sample_z(a, rng):
+    k = min(int(np.searchsorted(np.cumsum(a), rng.random())), a.shape[0] - 1)
+    z = np.zeros_like(a)
+    z[k] = 1.0
+    return z
+
+
+def feature_block_gmm(x, z, a):
+    x = np.asarray(x, dtype=float)
+    per_comp = np.empty((z.shape[0], 2 * x.shape[0] + 2))
+    per_comp[:, : x.shape[0]] = x
+    per_comp[:, x.shape[0] : 2 * x.shape[0]] = x * x
+    per_comp[:, 2 * x.shape[0]] = 1.0
+    per_comp[:, 2 * x.shape[0] + 1] = np.log(a)
+    return (z[:, None] * per_comp).ravel()
+
+
+def _gmm_log_joint_terms(x, params):
+    x = np.asarray(x, float)
+    diff = x[None, :] - params.means
+    log_dens = -0.5 * np.sum(
+        diff * diff / params.variances + np.log(2.0 * np.pi * params.variances), axis=1
+    )
+    return np.log(params.weights) + log_dens
+
+
+def joint_log_density_gmm(x, z, params) -> float:
+    """log P(x, z) = sum_k z_k [log pi_k + log N(x; mu_k, diag sigma2_k)]."""
+    return float(z @ _gmm_log_joint_terms(x, params))
+
+
+def marginal_log_likelihood_gmm(params, data) -> float:
+    """Mean per-example log marginal density of the mixture."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    total = 0.0
+    for x in data:
+        total += logsumexp(_gmm_log_joint_terms(x, params))
+    return float(total / data.shape[0])
+
+
+# --- hidden Markov model --------------------------------------------------------
+
+
+def _categorical(p, rng):
+    return min(int(np.searchsorted(np.cumsum(p), p.sum() * rng.random())), p.shape[0] - 1)
+
+
+def sample_path(x, params, posterior, rng):
+    alphas = posterior.alphas
+    L = alphas.shape[0]
+    q = np.empty(L, dtype=int)
+    q[L - 1] = _categorical(alphas[L - 1], rng)
+    for t in range(L - 2, -1, -1):
+        q[t] = _categorical(alphas[t] * params.transition[:, q[t + 1]], rng)
+    return q
+
+
+def feature_block_hmm(x, q, transition_post, n_symbols):
+    M = transition_post.shape[0]
+    init = np.zeros(M)
+    init[q[0]] = 1.0
+    trans_counts = np.zeros((M, M))
+    np.add.at(trans_counts, (q[:-1], q[1:]), 1.0)
+    emit_counts = np.zeros((M, n_symbols))
+    np.add.at(emit_counts, (q, x), 1.0)
+    return np.concatenate(
+        [
+            init,
+            trans_counts.ravel(),
+            (trans_counts * np.log(transition_post)).ravel(),
+            emit_counts.ravel(),
+        ]
+    )
+
+
+def xi_loop(x, params):
+    """The pairwise marginals of forward_backward, one time step at a time."""
+    x = np.asarray(x, dtype=int)
+    L, M = x.size, params.n_states
+    emit = params.emission[:, x]
+    alphas = np.empty((L, M))
+    scales = np.empty(L)
+    alphas[0] = params.initial * emit[:, 0]
+    scales[0] = alphas[0].sum()
+    alphas[0] /= scales[0]
+    for t in range(1, L):
+        alphas[t] = (alphas[t - 1] @ params.transition) * emit[:, t]
+        scales[t] = alphas[t].sum()
+        alphas[t] /= scales[t]
+    betas = np.empty((L, M))
+    betas[L - 1] = 1.0
+    for t in range(L - 2, -1, -1):
+        betas[t] = params.transition @ (emit[:, t + 1] * betas[t + 1]) / scales[t + 1]
+    xi = np.empty((L - 1, M, M))
+    for t in range(L - 1):
+        xi[t] = (
+            alphas[t][:, None]
+            * params.transition
+            * (emit[:, t + 1] * betas[t + 1])[None, :]
+            / scales[t + 1]
+        )
+    return xi
+
+
+def joint_log_density_hmm(x, q, params) -> float:
+    """log P(x, q) along the path: initial + transitions + emissions."""
+    x = np.asarray(x, dtype=int)
+    total = np.log(params.initial[q[0]])
+    total += np.log(params.transition[q[:-1], q[1:]]).sum()
+    total += np.log(params.emission[q, x]).sum()
+    return float(total)
+
+
+# --- one draw through either backend ----------------------------------------------
+
+
+def sample_hidden(backend, x, posterior, rng):
+    if isinstance(backend, GmmBackend):
+        return sample_z(posterior, rng)
+    assert isinstance(backend, HmmBackend)
+    return sample_path(x, backend.params, posterior, rng)
+
+
+def feature_block(backend, x, h, posterior):
+    if isinstance(backend, GmmBackend):
+        return feature_block_gmm(x, h, posterior)
+    return feature_block_hmm(
+        np.asarray(x, dtype=int), h, posterior.transition_post, backend.params.n_symbols
+    )
+
+
+def tilt_exponent(feature, y, u, cfg) -> float:
+    if cfg.C == 0.0:
+        return 0.0
+    a = float(u @ feature.phi_bar)
+    if y is None:
+        coef = cfg.m**2 / cfg.m_u if cfg.weight_scale == "m_squared" else 1.0
+        weight = coef * phi_tail(a) * phi_tail(-a)
+    else:
+        coef = cfg.m**2 / cfg.m_l if cfg.weight_scale == "m_squared" else 1.0
+        weight = coef * phi_tail(y * a)
+    return -cfg.C * weight
+
+
+def rejection_sample(x, y, backend_plus, backend_minus, u, cfg, rng) -> HiddenSampleSet:
+    post_plus = backend_plus.approx_posterior(x)
+    post_minus = backend_minus.approx_posterior(x)
+    accepted = []
+    best = []
+    attempts = 0
+    while len(accepted) < cfg.n_draws and attempts < cfg.max_attempts:
+        attempts += 1
+        h_plus = sample_hidden(backend_plus, x, post_plus, rng)
+        h_minus = sample_hidden(backend_minus, x, post_minus, rng)
+        feature = assemble(
+            feature_block(backend_plus, x, h_plus, post_plus),
+            feature_block(backend_minus, x, h_minus, post_minus),
+        )
+        exponent = tilt_exponent(feature, y, u, cfg)
+        if np.log(rng.random()) < exponent:
+            accepted.append((h_plus, h_minus, feature, exponent))
+        else:
+            entry = (exponent, attempts, (h_plus, h_minus, feature, exponent))
+            if len(best) < cfg.n_draws:
+                heapq.heappush(best, entry)
+            else:
+                heapq.heappushpop(best, entry)
+    rate = len(accepted) / attempts
+    if len(accepted) == cfg.n_draws:
+        return HiddenSampleSet(draws=accepted, acceptance_rate=rate, attempts=attempts)
+    pool = accepted + [entry[2] for entry in best]
+    pool.sort(key=lambda draw: -draw[3])
+    return HiddenSampleSet(
+        draws=pool[: cfg.n_draws], acceptance_rate=rate, degraded=True, attempts=attempts
+    )
+
+
+def vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized=True):
+    post_plus = backend_plus.approx_posterior(x)
+    post_minus = backend_minus.approx_posterior(x)
+    votes = []
+    for _ in range(n):
+        h_plus = sample_hidden(backend_plus, x, post_plus, rng)
+        h_minus = sample_hidden(backend_minus, x, post_minus, rng)
+        feature = assemble(
+            feature_block(backend_plus, x, h_plus, post_plus),
+            feature_block(backend_minus, x, h_minus, post_minus),
+        )
+        votes.append(float(u @ (feature.phi_bar if normalized else feature.phi)))
+    return votes

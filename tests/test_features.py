@@ -11,15 +11,15 @@ from pacgibbs.gmm import GmmBackend, GmmParams
 
 class TestAssemble:
     def test_zero_blocks_leave_only_constant(self):
-        f = assemble(np.zeros(2), np.zeros(2))
-        assert f.phi == pytest.approx([0, 0, 0, 0, 1])
-        assert f.phi_bar == pytest.approx([0, 0, 0, 0, 1])
+        phi, phi_bar = assemble(np.zeros((1, 2)), np.zeros((1, 2)))
+        assert phi[0] == pytest.approx([0, 0, 0, 0, 1])
+        assert phi_bar[0] == pytest.approx([0, 0, 0, 0, 1])
 
     def test_direct_normalization(self):
-        f = assemble(np.array([3.0]), np.array([0.0]))
-        assert f.phi == pytest.approx([3.0, 0.0, 1.0])
-        assert np.linalg.norm(f.phi_bar) == pytest.approx(1.0, abs=1e-12)
-        assert f.phi_bar == pytest.approx(np.array([3.0, 0.0, 1.0]) / np.sqrt(10.0))
+        phi, phi_bar = assemble(np.array([[3.0]]), np.array([[0.0]]))
+        assert phi[0] == pytest.approx([3.0, 0.0, 1.0])
+        assert np.linalg.norm(phi_bar[0]) == pytest.approx(1.0, abs=1e-12)
+        assert phi_bar[0] == pytest.approx(np.array([3.0, 0.0, 1.0]) / np.sqrt(10.0))
 
     def test_single_component_gmm_block(self):
         backend = GmmBackend(
@@ -32,24 +32,24 @@ class TestAssemble:
         )
         x = np.array([2.0])
         a = backend.approx_posterior(x)
-        block = backend.feature_block(x, np.array([1.0]), a)
+        (block,) = backend.feature_block(x, np.array([[1.0]]), a)
         assert block == pytest.approx([2.0, 4.0, 1.0, 0.0])
 
     def test_nan_block_rejected(self):
         with pytest.raises(InvalidFeatureError):
-            assemble(np.array([np.nan]), np.array([0.0]))
+            assemble(np.array([[np.nan]]), np.array([[0.0]]))
 
     @given(
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
         st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
     )
     def test_shape_and_norm_invariants(self, bp, bm):
-        f = assemble(np.array(bp), np.array(bm))
-        assert f.phi.shape == (len(bp) + len(bm) + 1,)
-        assert f.phi[-1] == 1.0
-        assert np.linalg.norm(f.phi_bar) == pytest.approx(1.0, abs=1e-12)
+        phi, phi_bar = assemble(np.array([bp]), np.array([bm]))
+        assert phi.shape == (1, len(bp) + len(bm) + 1)
+        assert phi[0, -1] == 1.0
+        assert np.linalg.norm(phi_bar[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_idempotent(self):
-        f = assemble(np.array([5.0, -2.0]), np.array([1.0]))
-        again = f.phi_bar / np.linalg.norm(f.phi_bar)
-        assert again == pytest.approx(f.phi_bar, abs=1e-15)
+        _, phi_bar = assemble(np.array([[5.0, -2.0]]), np.array([[1.0]]))
+        again = phi_bar[0] / np.linalg.norm(phi_bar[0])
+        assert again == pytest.approx(phi_bar[0], abs=1e-15)

@@ -8,11 +8,11 @@ from pacgibbs.gmm import (
     GmmBackend,
     GmmParams,
     feature_block_gmm,
-    joint_log_density_gmm,
     m_step_gmm,
     responsibilities,
     sample_z,
 )
+from reference_draws import joint_log_density_gmm, marginal_log_likelihood_gmm
 
 
 def make_params(weights, means, variances):
@@ -57,33 +57,30 @@ class TestResponsibilities:
 class TestSampleZ:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = sample_z(np.array([1.0, 0.0, 0.0, 0.0]), rng)
+        for z in sample_z(np.array([1.0, 0.0, 0.0, 0.0]), rng.random(20)):
             assert z == pytest.approx([1, 0, 0, 0])
 
     def test_two_component_frequency(self):
         rng = np.random.default_rng(1)
         a = np.array([0.5, 0.5])
-        draws = np.array([sample_z(a, rng) for _ in range(100_000)])
+        draws = sample_z(a, rng.random(100_000))
         assert draws[:, 0].mean() == pytest.approx(0.5, abs=0.01)
 
     def test_three_component_frequencies(self):
         rng = np.random.default_rng(2)
         a = np.array([0.2, 0.3, 0.5])
-        counts = np.zeros(3)
-        for _ in range(100_000):
-            counts += sample_z(a, rng)
+        counts = sample_z(a, rng.random(100_000)).sum(axis=0)
         assert counts / counts.sum() == pytest.approx(a, abs=0.01)
 
 
 class TestFeatureBlock:
     def test_direct_substitution_single(self):
-        block = feature_block_gmm(np.array([2.0]), np.array([1.0]), np.array([1.0]))
+        (block,) = feature_block_gmm(np.array([2.0]), np.array([[1.0]]), np.array([1.0]))
         assert block == pytest.approx([2.0, 4.0, 1.0, 0.0])
 
     def test_direct_substitution_two_components(self):
-        block = feature_block_gmm(
-            np.array([-1.0]), np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        (block,) = feature_block_gmm(
+            np.array([-1.0]), np.array([[0.0, 1.0]]), np.array([0.5, 0.5])
         )
         assert block == pytest.approx([0, 0, 0, 0, -1.0, 1.0, 1.0, np.log(0.5)])
 
@@ -92,7 +89,7 @@ class TestFeatureBlock:
         x = rng.normal(size=3)
         a = np.array([0.2, 0.5, 0.3])
         z = np.array([0.0, 1.0, 0.0])
-        block = feature_block_gmm(x, z, a).reshape(3, -1)
+        block = feature_block_gmm(x, z[None], a).reshape(3, -1)
         assert np.all(block[0] == 0.0)
         assert np.all(block[2] == 0.0)
 
@@ -103,7 +100,7 @@ class TestFeatureBlock:
         a = np.full(K, 1.0 / K)
         z = np.zeros(K)
         z[0] = 1.0
-        assert feature_block_gmm(x, z, a).shape == (K * (2 * d + 2),)
+        assert feature_block_gmm(x, z[None], a).shape == (1, K * (2 * d + 2))
 
 
 class TestJointLogDensity:
@@ -163,7 +160,7 @@ class TestMStep:
             k = rng.choice(2, p=true.weights)
             x = rng.normal(true.means[k, 0], 1.0, size=1)
             a = responsibilities(x, true)
-            zs.append(sample_z(a, rng))
+            zs.append(sample_z(a, rng.random(1))[0])
             xs.append(x)
         prev = make_params([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
         new = m_step_gmm(list(zip(xs, zs, [1.0] * 200)), prev, np.array([1e-6]))
@@ -190,15 +187,15 @@ class TestMonteCarloEm:
         for seed in range(10):
             backend = GmmBackend.from_data(data, 2, np.random.default_rng(100 + seed))
             srng = np.random.default_rng(200 + seed)
-            curve = [backend.marginal_log_likelihood(data)]
+            curve = [marginal_log_likelihood_gmm(backend.params, data)]
             for _ in range(n_iters):
                 samples = []
                 for x in data:
                     a = backend.approx_posterior(x)
-                    for _ in range(n_draws):
-                        samples.append((x, backend.sample_hidden(x, a, srng), 1.0))
+                    zs = backend.sample_hidden(x, a, srng.random((n_draws, 1)))
+                    samples.extend((x, z, 1.0) for z in zs)
                 backend.update_parameters(samples)
-                curve.append(backend.marginal_log_likelihood(data))
+                curve.append(marginal_log_likelihood_gmm(backend.params, data))
             curves.append(curve)
         mean_curve = np.mean(curves, axis=0)
         assert np.all(np.diff(mean_curve) > -0.05)
@@ -230,6 +227,6 @@ class TestBackend:
         for k in range(2):
             z = np.zeros(2)
             z[k] = 1.0
-            block = backend.feature_block(x, z, a)
-            expected = backend.joint_log_density(x, z) - np.log(a[k])
+            (block,) = backend.feature_block(x, z[None], a)
+            expected = joint_log_density_gmm(x, z, backend.params) - np.log(a[k])
             assert float(w @ block) == pytest.approx(expected, rel=1e-10)

@@ -9,10 +9,10 @@ from pacgibbs.hmm import (
     HmmParams,
     feature_block_hmm,
     forward_backward,
-    joint_log_density_hmm,
     m_step_hmm,
-    sample_path,
+    sample_paths,
 )
+from reference_draws import joint_log_density_hmm
 
 
 def random_params(m, k, rng):
@@ -99,8 +99,7 @@ class TestSamplePath:
         x = np.array([0, 1, 0, 1])
         post = forward_backward(x, p, prob_floor=0.0)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            q = sample_path(x, p, post, rng)
+        for q in sample_paths(p, post, rng.random((10, x.size))):
             assert q.tolist() == [0, 1, 0, 1]
 
     def test_marginals_match_gamma(self):
@@ -108,10 +107,8 @@ class TestSamplePath:
         p = random_params(2, 2, rng)
         x = np.array([0, 1])
         post = forward_backward(x, p)
-        counts = np.zeros((2, 2))
-        for _ in range(100_000):
-            q = sample_path(x, p, post, rng)
-            counts[np.arange(2), q] += 1.0
+        paths = sample_paths(p, post, rng.random((100_000, x.size)))
+        counts = np.stack([np.bincount(paths[:, t], minlength=2) for t in range(2)])
         assert counts / 100_000 == pytest.approx(post.gamma, abs=0.01)
 
     def test_joint_path_distribution(self):
@@ -123,8 +120,8 @@ class TestSamplePath:
         post = forward_backward(x, p)
         freq = {q: 0 for q in all_paths(2, 3)}
         n = 100_000
-        for _ in range(n):
-            freq[tuple(sample_path(x, p, post, rng))] += 1
+        for q in sample_paths(p, post, rng.random((n, x.size))):
+            freq[tuple(q)] += 1
         tv = 0.5 * sum(abs(freq[q] / n - joint[q] / lik) for q in freq)
         assert tv < 0.02
 
@@ -133,21 +130,21 @@ class TestFeatureBlock:
     def test_three_token_single_state(self):
         x = np.array([0, 1, 1])
         q = np.array([0, 0, 0])
-        block = feature_block_hmm(x, q, np.array([[1.0]]), n_symbols=2)
+        (block,) = feature_block_hmm(x, q[None], np.array([[1.0]]), n_symbols=2)
         assert block == pytest.approx([1.0, 2.0, 0.0, 1.0, 2.0])
 
     def test_shortest_sequence(self):
         x = np.array([0, 0])
         q = np.array([0, 0])
-        block = feature_block_hmm(x, q, np.array([[1.0]]), n_symbols=2)
+        (block,) = feature_block_hmm(x, q[None], np.array([[1.0]]), n_symbols=2)
         assert block == pytest.approx([1.0, 1.0, 0.0, 2.0, 0.0])
 
     def test_counts_scale_with_length(self):
         a_post = np.full((2, 2), 0.5)
         x1 = np.array([0, 1, 0, 1])
         q1 = np.array([0, 1, 0, 1])
-        b1 = feature_block_hmm(x1, q1, a_post, n_symbols=2)
-        b2 = feature_block_hmm(np.tile(x1, 2), np.tile(q1, 2), a_post, n_symbols=2)
+        (b1,) = feature_block_hmm(x1, q1[None], a_post, n_symbols=2)
+        (b2,) = feature_block_hmm(np.tile(x1, 2), np.tile(q1, 2)[None], a_post, n_symbols=2)
         # doubling the sequence doubles every count group except the
         # initial-state indicator; the concatenation adds one extra 1->0
         # transition, so compare emission counts which double exactly
@@ -161,8 +158,8 @@ class TestFeatureBlock:
         bp, _ = tiny_hmm_pair()
         x = rng.integers(0, 3, size=7)
         post = bp.approx_posterior(x)
-        q = sample_path(x, bp.params, post, rng)
-        block = bp.feature_block(x, q, post)
+        q = bp.sample_hidden(x, post, rng.random((1, x.size)))
+        (block,) = bp.feature_block(x, q, post)
         m, k = 2, 3
         assert block.shape == (m + 2 * m * m + m * k,)
         init = block[:m]
@@ -242,7 +239,7 @@ class TestMStep:
         for _ in range(500):
             x = sample_hmm_sequence(true, 12, rng)
             post = forward_backward(x, true)
-            samples.append((x, sample_path(x, true, post, rng), 1.0))
+            samples.append((x, sample_paths(true, post, rng.random((1, x.size)))[0], 1.0))
         prev = random_params(2, 2, np.random.default_rng(9))
         new = m_step_hmm(samples, prev, prob_floor=1e-8)
         assert np.abs(new.transition - true.transition).max() < 0.1
@@ -280,8 +277,8 @@ class TestBackend:
         x = rng.integers(0, 3, size=6)
         post = backend.approx_posterior(x)
         for _ in range(5):
-            q = backend.sample_hidden(x, post, rng)
-            block = backend.feature_block(x, q, post)
+            (q,) = backend.sample_hidden(x, post, rng.random((1, x.size)))
+            (block,) = backend.feature_block(x, q[None], post)
             trans_logq = np.log(post.transition_post)[q[:-1], q[1:]].sum()
-            expected = backend.joint_log_density(x, q) - trans_logq
+            expected = joint_log_density_hmm(x, q, backend.params) - trans_logq
             assert float(w @ block) == pytest.approx(expected, rel=1e-10)

@@ -59,14 +59,12 @@ class TestPredict:
         bp, bm = task.backend_plus, task.backend_minus
         x = np.array([0.6])
         a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
+        # Every (z_plus, z_minus) pair as one stack, z_plus-major.
+        z_p, z_m = np.repeat(np.eye(2), 2, axis=0), np.tile(np.eye(2), (2, 1))
+        _, phi_bar = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
         oracle = 0.0
-        for i in range(2):
-            for j in range(2):
-                z_p, z_m = np.zeros(2), np.zeros(2)
-                z_p[i] = 1.0
-                z_m[j] = 1.0
-                f = assemble(bp.feature_block(x, z_p, a_p), bm.feature_block(x, z_m, a_m))
-                oracle += a_p[i] * a_m[j] * float(task.u @ f.phi_bar)
+        for (i, j), row in zip(np.ndindex(2, 2), phi_bar):
+            oracle += a_p[i] * a_m[j] * float(task.u @ row)
         score = score_example(x, bp, bm, task.u, 20_000, np.random.default_rng(4))
         assert score == pytest.approx(oracle, abs=0.01)
 

@@ -8,38 +8,45 @@ from conftest import enumerate_gmm_tilt, tiny_gmm_pair
 from pacgibbs.errors import InvalidArgumentError
 from pacgibbs.features import assemble
 from pacgibbs.numerics import phi_tail
-from pacgibbs.sampler import TiltConfig, rejection_sample, tilt_exponent
+from pacgibbs.sampler import TiltConfig, rejection_sample, tilt_exponents
 
 
 def unit_feature(vec):
+    """The unit-normalized feature of one draw, as a one-row stack."""
     vec = np.asarray(vec, float)
-    return assemble(vec[: len(vec) // 2], vec[len(vec) // 2 : -1])
+    return assemble(vec[None, : len(vec) // 2], vec[None, len(vec) // 2 : -1])[1]
+
+
+def tilt_exponent(phi_bar, y, u, cfg):
+    """The exponent of a one-row stack's only draw."""
+    (exponent,) = tilt_exponents(phi_bar, y, u, cfg)
+    return exponent
 
 
 class TestTiltExponent:
     def test_untilted_accepts_always(self):
         cfg = TiltConfig(C=0.0, m=10, m_l=5, m_u=5)
         f = unit_feature([1.0, 2.0, 3.0])
-        assert tilt_exponent(f, 1, np.zeros(f.phi.size), cfg) == 0.0
+        assert tilt_exponent(f, 1, np.zeros(f.shape[1]), cfg) == 0.0
 
     def test_labeled_zero_margin(self):
         cfg = TiltConfig(C=1.0, m=10, m_l=5, m_u=5)
         f = unit_feature([0.5, -0.5, 0.0])
-        u = np.zeros(f.phi.size)
+        u = np.zeros(f.shape[1])
         assert tilt_exponent(f, 1, u, cfg) == pytest.approx(-0.5)
 
     def test_unlabeled_zero_margin(self):
         cfg = TiltConfig(C=2.0, m=10, m_l=5, m_u=5)
         f = unit_feature([0.5, -0.5, 0.0])
-        u = np.zeros(f.phi.size)
+        u = np.zeros(f.shape[1])
         #半 the disagreement at margin 0 is 1/4, times C=2
         assert tilt_exponent(f, None, u, cfg) == pytest.approx(-0.5)
 
     def test_m_squared_scale_coefficients(self):
         cfg = TiltConfig(C=1.0, m=6, m_l=2, m_u=4, weight_scale="m_squared")
         f = unit_feature([1.0, 0.0, 0.0])
-        u = np.random.default_rng(0).normal(size=f.phi.size)
-        a = float(u @ f.phi_bar)
+        u = np.random.default_rng(0).normal(size=f.shape[1])
+        a = float(u @ f[0])
         assert tilt_exponent(f, 1, u, cfg) == pytest.approx(-(36 / 2) * phi_tail(a))
         assert tilt_exponent(f, None, u, cfg) == pytest.approx(
             -(36 / 4) * phi_tail(a) * phi_tail(-a)
@@ -50,12 +57,12 @@ class TestTiltExponent:
     def test_never_positive(self, scale, C, y):
         cfg = TiltConfig(C=C, m=4, m_l=2, m_u=2)
         f = unit_feature([1.0, 1.0, 1.0, 1.0, 1.0])
-        u = np.full(f.phi.size, scale)
+        u = np.full(f.shape[1], scale)
         assert tilt_exponent(f, y, u, cfg) <= 0.0
 
     def test_monotone_suppression_in_c(self):
         f = unit_feature([0.4, 1.0, -0.3])
-        u = np.random.default_rng(1).normal(size=f.phi.size)
+        u = np.random.default_rng(1).normal(size=f.shape[1])
         exps = [tilt_exponent(f, 1, u, TiltConfig(C=c, m=4, m_l=2, m_u=2)) for c in (0.5, 1.0, 2.0, 4.0)]
         assert all(b <= a for a, b in zip(exps, exps[1:]))
 

@@ -91,11 +91,10 @@ class TestInitU0:
         feats, labels = [], []
         for x, y in S_l:
             a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
-            rows = []
-            for _ in range(5):
-                zp, zm = bp.sample_hidden(x, a_p, rng), bm.sample_hidden(x, a_m, rng)
-                rows.append(assemble(bp.feature_block(x, zp, a_p), bm.feature_block(x, zm, a_m)).phi_bar)
-            feats.append(np.stack(rows))
+            uniforms = rng.random((5, 2))  # per draw: z_plus's uniform, then z_minus's
+            zp = bp.sample_hidden(x, a_p, uniforms[:, :1])
+            zm = bm.sample_hidden(x, a_m, uniforms[:, 1:])
+            feats.append(assemble(bp.feature_block(x, zp, a_p), bm.feature_block(x, zm, a_m))[1])
             labels.append(y)
         labeled = stack_features(feats, labels)
         unlabeled = stack_features([], shape=labeled.shape[1:])
