@@ -1,13 +1,10 @@
 """PAC-Bayes-trained Gibbs classifiers over stochastic generative-model features."""
 
 from .bounds import (
-    ClassifierState,
     RiskReport,
     bound_semisupervised,
     bound_supervised,
     empirical_risks,
-    expected_disagreement,
-    expected_error,
     grad_C,
     grad_u,
     kl_weights,
@@ -34,7 +31,7 @@ from .errors import (
     PacgibbsError,
     TrainingAbort,
 )
-from .features import GenerativeBackend, StochasticFeature, assemble
+from .features import GenerativeBackend, assemble
 from .gmm import GmmBackend, GmmParams
 from .hmm import HmmBackend, HmmParams
 from .numerics import finite_diff_gradient, gauss_pdf, phi_tail

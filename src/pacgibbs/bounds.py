@@ -38,31 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidArgumentError
-from .numerics import Probability, gauss_pdf, phi_tail
+from .numerics import gauss_pdf, phi_tail
 
 # A feature batch: float array of shape (m, n, D), rows unit-norm; in a
 # labeled batch each example's rows are multiplied by its label.
 FeatureBatch = np.ndarray
 
 _UNIT_TOL = 1e-6
-
-
-@dataclass
-class ClassifierState:
-    """Weight-posterior mean, prior mean, trade-off constant, confidence."""
-
-    u: np.ndarray
-    u0: np.ndarray
-    C: float
-    delta: float = 0.05
-
-    def __post_init__(self):
-        if self.u.shape != self.u0.shape:
-            raise InvalidArgumentError("u and u0 must have equal dimensions")
-        if not self.C > 0:
-            raise InvalidArgumentError(f"C must be positive, got {self.C}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InvalidArgumentError(f"delta must lie in (0, 1], got {self.delta}")
 
 
 @dataclass
@@ -120,23 +102,6 @@ def stack_features(matrices, labels=None, shape: tuple[int, int] | None = None) 
     return batch
 
 
-def expected_error(u: np.ndarray, phi_bar: np.ndarray, y: int) -> Probability:
-    """Closed-form Gibbs misclassification probability for one sample."""
-    if y not in (-1, 1):
-        raise InvalidArgumentError(f"label must be -1 or +1, got {y}")
-    phi_bar = np.asarray(phi_bar, dtype=float)
-    _check_unit_rows(phi_bar[None, :])
-    return phi_tail(y * float(u @ phi_bar))
-
-
-def expected_disagreement(u: np.ndarray, phi_bar: np.ndarray) -> Probability:
-    """Closed-form disagreement probability of two independent weight draws."""
-    phi_bar = np.asarray(phi_bar, dtype=float)
-    _check_unit_rows(phi_bar[None, :])
-    a = float(u @ phi_bar)
-    return 2.0 * phi_tail(a) * phi_tail(-a)
-
-
 def kl_weights(u: np.ndarray, u0: np.ndarray) -> float:
     """KL(N(u, I) || N(u0, I)) = ||u - u0||^2 / 2."""
     u = np.asarray(u, dtype=float)
@@ -161,34 +126,23 @@ def _weighted_rows(weights: np.ndarray, batch: FeatureBatch) -> np.ndarray:
     return np.matmul(weights[:, None, :], batch)[:, 0, :] / batch.shape[1]
 
 
-def empirical_risks(
-    labeled: FeatureBatch,
-    unlabeled: FeatureBatch,
-    u: np.ndarray,
-    exact_pairing: bool = False,
-) -> RiskReport:
+def empirical_risks(labeled: FeatureBatch, unlabeled: FeatureBatch, u: np.ndarray) -> RiskReport:
     """Sample-averaged risks at ``u``: e_S on labeled, d_S on unlabeled, R_S on labeled.
 
     e_S pairs the two independent weight draws on the same hidden sample
-    (``phi_tail(y a)^2`` per draw); with ``exact_pairing`` both expectations
-    run over all draw pairs of an example, i.e. the per-example value is
-    ``mean_j(phi_tail)^2``.  An empty unlabeled set yields d_S = 0
+    (``phi_tail(y a)^2`` per draw).  An empty unlabeled set yields d_S = 0
     (supervised mode); an empty labeled set is an error.
     """
     if not len(labeled):
         raise InvalidArgumentError("empirical_risks requires at least one labeled example")
     p = phi_tail(np.matmul(labeled, u))
-    r_terms = p.mean(axis=1)
-    e_terms = r_terms * r_terms if exact_pairing else (p * p).mean(axis=1)
     d_S = 0.0
     if len(unlabeled):
         a = np.matmul(unlabeled, u)
-        p, q = phi_tail(a), phi_tail(-a)
-        d_terms = (
-            2.0 * p.mean(axis=1) * q.mean(axis=1) if exact_pairing else (2.0 * p * q).mean(axis=1)
-        )
-        d_S = float(np.mean(d_terms))
-    return RiskReport(e_S=float(np.mean(e_terms)), d_S=d_S, R_S=float(np.mean(r_terms)))
+        d_S = float(np.mean((2.0 * phi_tail(a) * phi_tail(-a)).mean(axis=1)))
+    return RiskReport(
+        e_S=float(np.mean((p * p).mean(axis=1))), d_S=d_S, R_S=float(np.mean(p.mean(axis=1)))
+    )
 
 
 def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):

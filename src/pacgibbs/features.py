@@ -11,24 +11,10 @@ term, so no separate bias parameter exists anywhere in the system.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidFeatureError
-
-
-@dataclass(frozen=True)
-class StochasticFeature:
-    """One realized feature vector and its unit-normalized form.
-
-    ``phi`` is ``[block_plus; block_minus; 1]``; ``phi_bar = phi/||phi||``
-    (the trailing 1 guarantees ``||phi|| >= 1``, so normalization never
-    divides by zero).
-    """
-
-    phi: np.ndarray
-    phi_bar: np.ndarray
 
 
 def row_dots(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -47,9 +33,10 @@ def assemble(blocks_plus: np.ndarray, blocks_minus: np.ndarray) -> tuple[np.ndar
 
     Returns ``(phi, phi_bar)``, both (k, B_plus + B_minus + 1): row ``i``
     is ``[blocks_plus[i]; blocks_minus[i]; 1]`` and its unit-normalized
-    form.  Each norm is ``sqrt(row . row)``, which is how
-    ``np.linalg.norm(row)`` computes it.  Raises
-    :class:`InvalidFeatureError` if a block contains NaN or infinities.
+    form; the trailing 1 keeps every norm at least 1.  Each norm is
+    ``sqrt(row . row)``, which is how ``np.linalg.norm(row)`` computes it.
+    Raises :class:`InvalidFeatureError` if a block contains NaN or
+    infinities.
     """
     bp = np.asarray(blocks_plus, dtype=float)
     bm = np.asarray(blocks_minus, dtype=float)

@@ -13,9 +13,6 @@ from scipy.special import erfc
 
 from .errors import InvalidArgumentError
 
-# Values returned by phi_tail live in [0, 1].
-Probability = float
-
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 

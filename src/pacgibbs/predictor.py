@@ -5,10 +5,9 @@ scores each realized feature with the trained weight mean, and thresholds
 the average at zero.  Ties (score exactly 0) resolve to +1; this is a
 fixed, documented convention and tests pin it.
 
-The ``n`` pairs are drawn as one stack from an ``(n, U_plus + U_minus)``
-block of uniforms, each row holding the positive model's uniforms and
-then the negative model's, which is the order in which ``n`` draws made
-one at a time consume them.
+The ``n`` pairs are one :func:`~pacgibbs.sampler.propose` stack from an
+``(n, U_plus + U_minus)`` block of uniforms, the order in which ``n``
+draws made one at a time consume them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, assemble, row_dots
+from .features import GenerativeBackend, row_dots
+# perfbench/tracing.py patches predictor.assemble by name, so the name stays.
+from .features import assemble  # noqa: F401
+from .sampler import propose
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,6 @@ class Prediction:
     label: int
     score: float
     votes: tuple[float, ...]
-
-
-def score_example(
-    x,
-    backend_plus: GenerativeBackend,
-    backend_minus: GenerativeBackend,
-    u: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    normalized: bool = True,
-) -> float:
-    """Average of ``n`` per-draw scores ``u . phi`` over untilted hidden draws."""
-    return float(np.mean(vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized)))
 
 
 def vote_scores(
@@ -54,16 +43,10 @@ def vote_scores(
 ) -> list[float]:
     if n < 1:
         raise InvalidArgumentError("need at least one vote")
-    post_plus = backend_plus.approx_posterior(x)
-    post_minus = backend_minus.approx_posterior(x)
-    n_plus = backend_plus.uniforms_per_draw(x)
-    uniforms = rng.random((n, n_plus + backend_minus.uniforms_per_draw(x)))
-    h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
-    h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:])
-    phi, phi_bar = assemble(
-        backend_plus.feature_block(x, h_plus, post_plus),
-        backend_minus.feature_block(x, h_minus, post_minus),
-    )
+    posts = (backend_plus.approx_posterior(x), backend_minus.approx_posterior(x))
+    n_uniforms = backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x)
+    uniforms = rng.random((n, n_uniforms))
+    _, _, phi, phi_bar = propose(x, backend_plus, backend_minus, posts, uniforms)
     return row_dots(u, phi_bar if normalized else phi).tolist()
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, StochasticFeature, assemble, row_dots
+from .features import GenerativeBackend, assemble, row_dots
 from .numerics import phi_tail
 
 WEIGHT_SCALES = ("per_example", "m_squared")
@@ -66,25 +66,48 @@ class TiltConfig:
 
 @dataclass
 class HiddenSampleSet:
-    """Accepted draws for one example.
+    """Kept draws for one example, stacked in draw order.
 
-    Each entry is ``(h_plus, h_minus, feature, acceptance_exponent)``.
-    ``acceptance_rate`` is accepted/attempted, the normalizing-constant
-    estimate.  ``degraded`` marks the fallback path (attempts exhausted,
+    Row ``i`` of ``h_plus`` and ``h_minus`` is the hidden pair of draw
+    ``i``, row ``i`` of ``phi_bar`` its unit-norm feature and
+    ``exponents[i]`` its log acceptance probability.  ``acceptance_rate``
+    is accepted/attempted, the normalizing-constant estimate.
+    ``degraded`` marks the fallback path (attempts exhausted,
     best-exponent proposals kept instead of true posterior draws).
     """
 
-    draws: list[tuple[object, object, StochasticFeature, float]]
+    h_plus: np.ndarray
+    h_minus: np.ndarray
+    phi_bar: np.ndarray
+    exponents: np.ndarray
     acceptance_rate: float
     degraded: bool = False
     attempts: int = 0
 
-    def feature_matrix(self) -> np.ndarray:
-        """Unit-norm feature rows, one per draw."""
-        return np.stack([f.phi_bar for _, _, f, _ in self.draws])
 
-    def mean_exponent(self) -> float:
-        return float(np.mean([e for _, _, _, e in self.draws]))
+def propose(
+    x,
+    backend_plus: GenerativeBackend,
+    backend_minus: GenerativeBackend,
+    posts: tuple,
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """k untilted proposals for ``x``, one per row of the (k, U_plus + U_minus) ``uniforms``.
+
+    ``posts`` holds both models' posteriors of ``x``.  Each row's first
+    U_plus uniforms draw the positive model's hidden configuration, the
+    rest the negative model's.  Returns the stacked ``(h_plus, h_minus,
+    phi, phi_bar)``.
+    """
+    post_plus, post_minus = posts
+    n_plus = backend_plus.uniforms_per_draw(x)
+    h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
+    h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:])
+    phi, phi_bar = assemble(
+        backend_plus.feature_block(x, h_plus, post_plus),
+        backend_minus.feature_block(x, h_minus, post_minus),
+    )
+    return h_plus, h_minus, phi, phi_bar
 
 
 def tilt_exponents(
@@ -124,47 +147,46 @@ def rejection_sample(
     attempt budget runs out first, the n_draws proposals with the largest
     exponents seen so far are kept and the result is flagged degraded.
     """
-    post_plus = backend_plus.approx_posterior(x)
-    post_minus = backend_minus.approx_posterior(x)
-    n_plus = backend_plus.uniforms_per_draw(x)
-    n_minus = backend_minus.uniforms_per_draw(x)
+    posts = (backend_plus.approx_posterior(x), backend_minus.approx_posterior(x))
+    n_uniforms = backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) + 1
 
-    accepted: list[tuple[object, object, StochasticFeature, float]] = []
-    best: list[tuple[float, int, tuple]] = []  # min-heap of (exponent, tiebreak, draw)
+    chunks = []  # (h_plus, h_minus, phi_bar, exponents) of each chunk of proposals
+    accepted: list[int] = []  # attempt indices
+    best: list[tuple[float, int]] = []  # min-heap of (exponent, attempt index)
     attempts = 0
     while len(accepted) < cfg.n_draws and attempts < cfg.max_attempts:
         # Each of these attempts runs whatever the earlier ones in the chunk decide.
         k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
-        uniforms = rng.random((k, n_plus + n_minus + 1))
-        h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
-        h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:-1])
-        phi, phi_bar = assemble(
-            backend_plus.feature_block(x, h_plus, post_plus),
-            backend_minus.feature_block(x, h_minus, post_minus),
+        uniforms = rng.random((k, n_uniforms))
+        h_plus, h_minus, _, phi_bar = propose(
+            x, backend_plus, backend_minus, posts, uniforms[:, :-1]
         )
         exponents = tilt_exponents(phi_bar, y, u, cfg)
+        chunks.append((h_plus, h_minus, phi_bar, exponents))
         accepts = np.log(uniforms[:, -1]) < exponents
-        for i in range(k):
-            attempts += 1
-            exponent = float(exponents[i])
-            draw = (h_plus[i], h_minus[i], StochasticFeature(phi[i], phi_bar[i]), exponent)
-            if accepts[i]:
-                accepted.append(draw)
-            elif len(best) < cfg.n_draws:
-                heapq.heappush(best, (exponent, attempts, draw))
+        accepted += (attempts + np.flatnonzero(accepts)).tolist()
+        for i in np.flatnonzero(~accepts).tolist():
+            entry = (float(exponents[i]), attempts + i)
+            if len(best) < cfg.n_draws:
+                heapq.heappush(best, entry)
             else:
-                heapq.heappushpop(best, (exponent, attempts, draw))
+                heapq.heappushpop(best, entry)
+        attempts += k
 
-    rate = len(accepted) / attempts
-    if len(accepted) == cfg.n_draws:
-        return HiddenSampleSet(draws=accepted, acceptance_rate=rate, attempts=attempts)
-
-    # Fallback: keep the n_draws proposals with the largest exponents seen.
-    pool = accepted + [entry[2] for entry in best]
-    pool.sort(key=lambda draw: -draw[3])
+    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*chunks))
+    keep = accepted
+    degraded = len(accepted) < cfg.n_draws
+    if degraded:
+        # Fallback: keep the n_draws proposals with the largest exponents
+        # seen; ties keep accepted draws first, then the heap's list order.
+        pool = accepted + [i for _, i in best]
+        keep = sorted(pool, key=lambda i: -exponents[i])[: cfg.n_draws]
     return HiddenSampleSet(
-        draws=pool[: cfg.n_draws],
-        acceptance_rate=rate,
-        degraded=True,
+        h_plus[keep],
+        h_minus[keep],
+        phi_bar[keep],
+        exponents[keep],
+        acceptance_rate=len(accepted) / attempts,
+        degraded=degraded,
         attempts=attempts,
     )

@@ -146,8 +146,7 @@ def check_sampler_enumeration(n_accepted: int = 50000) -> CheckResult:
     target /= target.sum()
     result = rejection_sample(x, 1, bp, bm, u, cfg, rng)
     freq = np.zeros((2, 2))
-    for h_plus, h_minus, _, _ in result.draws:
-        freq[int(np.argmax(h_plus)), int(np.argmax(h_minus))] += 1.0
+    np.add.at(freq, (np.argmax(result.h_plus, axis=1), np.argmax(result.h_minus, axis=1)), 1.0)
     freq /= freq.sum()
     tv = 0.5 * np.abs(freq - target).sum()
     return CheckResult("rejection sampler vs enumerated posterior", float(tv), 0.025)

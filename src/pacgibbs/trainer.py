@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import (
-    ClassifierState,
     RiskReport,
     bound_semisupervised,
     bound_supervised,
@@ -41,7 +40,7 @@ from .bounds import (
 )
 from .errors import InvalidArgumentError, TrainingAbort
 from .features import GenerativeBackend
-from .predictor import score_example
+from .predictor import evaluate
 from .sampler import TiltConfig, rejection_sample
 
 C_UPDATE_MODES = ("gradient", "cross_validation", "fixed")
@@ -113,9 +112,6 @@ class TrainedTask:
     predict_normalized: bool = True
     delta: float = 0.05
 
-    def classifier_state(self) -> ClassifierState:
-        return ClassifierState(u=self.u, u0=self.u0, C=self.C, delta=self.delta)
-
 
 def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
     """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``."""
@@ -132,10 +128,8 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
 
 def _feature_batches(S_l, sets_l, sets_u, shape):
     """The labeled and unlabeled (m, n, D) feature batches of one sampling pass."""
-    labeled = stack_features(
-        [s.feature_matrix() for s in sets_l], [y for _, y in S_l], shape=shape
-    )
-    return labeled, stack_features([s.feature_matrix() for s in sets_u], shape=shape)
+    labeled = stack_features([s.phi_bar for s in sets_l], [y for _, y in S_l], shape=shape)
+    return labeled, stack_features([s.phi_bar for s in sets_u], shape=shape)
 
 
 def _backtracking_step(value_fn, grad: np.ndarray, u: np.ndarray, j_u: float, gamma: float):
@@ -226,7 +220,7 @@ def _hidden_kl(sample_sets, m: int) -> float:
     total = 0.0
     for s in sample_sets:
         rate = max(s.acceptance_rate, np.finfo(float).tiny)
-        total += max(0.0, s.mean_exponent() - np.log(rate))
+        total += max(0.0, np.mean(s.exponents) - np.log(rate))
     return total / m
 
 
@@ -324,16 +318,10 @@ def train(
             )
 
         plus_samples = [
-            (x, h_plus, 1.0)
-            for (x, y), s in zip(S_l, sets_l)
-            if y == 1
-            for h_plus, _, _, _ in s.draws
+            (x, h, 1.0) for (x, y), s in zip(S_l, sets_l) if y == 1 for h in s.h_plus
         ]
         minus_samples = [
-            (x, h_minus, 1.0)
-            for (x, y), s in zip(S_l, sets_l)
-            if y == -1
-            for _, h_minus, _, _ in s.draws
+            (x, h, 1.0) for (x, y), s in zip(S_l, sets_l) if y == -1 for h in s.h_minus
         ]
         if plus_samples:
             bp.update_parameters(plus_samples)
@@ -493,14 +481,7 @@ def select_C_by_cv(
             except TrainingAbort:
                 accs.append(0.0)
                 continue
-            eval_rng = derive_rng(cfg_f.seed, _PHASE_CV, 1)
-            correct = 0
-            for x, y in val_set:
-                score = score_example(
-                    x, task.backend_plus, task.backend_minus, task.u, n_votes, eval_rng
-                )
-                correct += (1 if score >= 0 else -1) == y
-            accs.append(correct / len(val_set))
+            accs.append(evaluate(val_set, task, n_votes, derive_rng(cfg_f.seed, _PHASE_CV, 1)))
         mean_acc = float(np.mean(accs))
         if mean_acc > best_acc:
             best_c, best_acc = C, mean_acc

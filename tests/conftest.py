@@ -6,10 +6,19 @@ import itertools
 
 import numpy as np
 
+from pacgibbs.bounds import empirical_risks, stack_features
 from pacgibbs.features import assemble
 from pacgibbs.sampler import tilt_exponents
 from pacgibbs.hmm import HmmBackend, HmmParams
 from pacgibbs.selftest import tiny_gmm_pair  # noqa: F401  (shared with the test modules)
+
+
+def one_draw_risks(u, phi_bar, y: int = 1):
+    """Risks of one example with one hidden draw ``phi_bar``: ``R_S`` is the
+    closed-form Gibbs error at label ``y``, ``d_S`` the closed-form
+    disagreement of two independent weight draws."""
+    row = [[phi_bar]]
+    return empirical_risks(stack_features(row, [y]), stack_features(row), u)
 
 
 def tiny_hmm_pair(n_symbols: int = 3):

@@ -9,25 +9,32 @@ joint and marginal densities are test oracles the package does not need.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from pacgibbs.errors import InvalidFeatureError
-from pacgibbs.features import StochasticFeature
 from pacgibbs.gmm import GmmBackend
 from pacgibbs.hmm import HmmBackend
 from pacgibbs.numerics import phi_tail
 from pacgibbs.sampler import HiddenSampleSet
 
 
-def assemble(block_plus, block_minus) -> StochasticFeature:
+class Feature(NamedTuple):
+    """One realized feature vector and its unit-normalized form."""
+
+    phi: np.ndarray
+    phi_bar: np.ndarray
+
+
+def assemble(block_plus, block_minus) -> Feature:
     bp = np.asarray(block_plus, dtype=float).ravel()
     bm = np.asarray(block_minus, dtype=float).ravel()
     if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bm))):
         raise InvalidFeatureError("feature blocks must be finite")
     phi = np.concatenate([bp, bm, [1.0]])
-    return StochasticFeature(phi=phi, phi_bar=phi / np.linalg.norm(phi))
+    return Feature(phi=phi, phi_bar=phi / np.linalg.norm(phi))
 
 
 # --- mixture ------------------------------------------------------------------
@@ -193,21 +200,21 @@ def rejection_sample(x, y, backend_plus, backend_minus, u, cfg, rng) -> HiddenSa
         )
         exponent = tilt_exponent(feature, y, u, cfg)
         if np.log(rng.random()) < exponent:
-            accepted.append((h_plus, h_minus, feature, exponent))
+            accepted.append((h_plus, h_minus, feature.phi_bar, exponent))
         else:
-            entry = (exponent, attempts, (h_plus, h_minus, feature, exponent))
+            entry = (exponent, attempts, (h_plus, h_minus, feature.phi_bar, exponent))
             if len(best) < cfg.n_draws:
                 heapq.heappush(best, entry)
             else:
                 heapq.heappushpop(best, entry)
     rate = len(accepted) / attempts
-    if len(accepted) == cfg.n_draws:
-        return HiddenSampleSet(draws=accepted, acceptance_rate=rate, attempts=attempts)
-    pool = accepted + [entry[2] for entry in best]
-    pool.sort(key=lambda draw: -draw[3])
-    return HiddenSampleSet(
-        draws=pool[: cfg.n_draws], acceptance_rate=rate, degraded=True, attempts=attempts
-    )
+    degraded = len(accepted) < cfg.n_draws
+    if degraded:
+        pool = accepted + [entry[2] for entry in best]
+        pool.sort(key=lambda draw: -draw[3])
+        accepted = pool[: cfg.n_draws]
+    h_plus, h_minus, phi_bar, exponents = (np.array(column) for column in zip(*accepted))
+    return HiddenSampleSet(h_plus, h_minus, phi_bar, exponents, rate, degraded, attempts)
 
 
 def vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized=True):

@@ -16,14 +16,13 @@ from scipy.special import logsumexp
 from conftest import (
     enumerate_gmm_tilt,
     enumerate_hmm_tilt,
+    one_draw_risks,
     sample_hmm_sequence,
     tiny_gmm_pair,
     tiny_hmm_pair,
 )
 from pacgibbs.bounds import (
     empirical_risks,
-    expected_disagreement,
-    expected_error,
     grad_C,
     grad_u,
     stack_features,
@@ -163,7 +162,7 @@ class TestCriterion4SamplerFidelity:
         probs, z_norm = enumerate_gmm_tilt(x, 1, bp, bm, u, cfg)
         out = rejection_sample(x, 1, bp, bm, u, cfg, rng)
         freq = {}
-        for hp, hm, _, _ in out.draws:
+        for hp, hm in zip(out.h_plus, out.h_minus):
             key = (int(np.argmax(hp)), int(np.argmax(hm)))
             freq[key] = freq.get(key, 0) + 1
         tv = 0.5 * sum(abs(freq.get(k, 0) / self.N_ACCEPTED - p) for k, p in probs.items())
@@ -183,7 +182,7 @@ class TestCriterion4SamplerFidelity:
         probs_h, z_h = enumerate_hmm_tilt(xs, 1, hp_b, hm_b, u, cfg)
         out_h = rejection_sample(xs, 1, hp_b, hm_b, u, cfg, rng)
         freq_h = {}
-        for qp, qm, _, _ in out_h.draws:
+        for qp, qm in zip(out_h.h_plus, out_h.h_minus):
             key = (tuple(qp), tuple(qm))
             freq_h[key] = freq_h.get(key, 0) + 1
         tv_h = 0.5 * sum(abs(freq_h.get(k, 0) / self.N_ACCEPTED - p) for k, p in probs_h.items())
@@ -211,11 +210,12 @@ class TestCriterion5GaussianIntegrals:
             w = rng.normal(size=(100_000, dim)) + u
             signs = np.where(w @ phi_bar > 0, 1, -1)
             mc_err = float(np.mean(signs != y))
-            worst_err = max(worst_err, abs(mc_err - expected_error(u, phi_bar, y)))
+            closed = one_draw_risks(u, phi_bar, y)
+            worst_err = max(worst_err, abs(mc_err - closed.R_S))
             w2 = rng.normal(size=(100_000, dim)) + u
             signs2 = np.where(w2 @ phi_bar > 0, 1, -1)
             mc_dis = float(np.mean(signs != signs2))
-            worst_dis = max(worst_dis, abs(mc_dis - expected_disagreement(u, phi_bar)))
+            worst_dis = max(worst_dis, abs(mc_dis - closed.d_S))
         ok = worst_err < 0.005 and worst_dis < 0.005
         report(
             5,

@@ -8,19 +8,17 @@ import pytest
 from scipy.integrate import quad
 
 from pacgibbs.bounds import (
-    ClassifierState,
     _sum_examples,
     bound_semisupervised,
     bound_supervised,
     empirical_risks,
-    expected_disagreement,
-    expected_error,
     grad_C,
     grad_u,
     kl_weights,
     stack_features,
     surrogate_objective,
 )
+from conftest import one_draw_risks
 from pacgibbs.errors import ContractViolationError, InvalidArgumentError
 from pacgibbs.numerics import finite_diff_gradient, gauss_pdf, phi_tail
 
@@ -78,18 +76,18 @@ def loop_grad_u(labeled, unlabeled, u, u0, C, m, m_l, m_u, n):
     return grad
 
 
-def loop_empirical_risks(labeled, unlabeled, u, exact_pairing=False):
+def loop_empirical_risks(labeled, unlabeled, u):
     e_terms = []
     r_terms = []
     for feats, y in labeled:
         p = phi_tail(y * (feats @ u))
         r_terms.append(p.mean())
-        e_terms.append(p.mean() ** 2 if exact_pairing else (p * p).mean())
+        e_terms.append((p * p).mean())
     d_terms = []
     for feats in unlabeled:
         a = feats @ u
         p, q = phi_tail(a), phi_tail(-a)
-        d_terms.append(2.0 * p.mean() * q.mean() if exact_pairing else (2.0 * p * q).mean())
+        d_terms.append((2.0 * p * q).mean())
     return (
         float(np.mean(e_terms)),
         float(np.mean(d_terms)) if d_terms else 0.0,
@@ -98,18 +96,20 @@ def loop_empirical_risks(labeled, unlabeled, u, exact_pairing=False):
 
 
 class TestExpectedError:
+    """The closed-form Gibbs error: R_S of one example with one hidden draw."""
+
     def test_zero_margin(self):
         u = np.zeros(3)
         phi_bar = np.array([1.0, 0.0, 0.0])
-        assert expected_error(u, phi_bar, 1) == pytest.approx(0.5)
+        assert one_draw_risks(u, phi_bar, 1).R_S == pytest.approx(0.5)
 
     def test_confident_correct_goes_to_zero(self):
         u = np.array([50.0, 0.0])
-        assert expected_error(u, np.array([1.0, 0.0]), 1) < 1e-12
+        assert one_draw_risks(u, np.array([1.0, 0.0]), 1).R_S < 1e-12
 
     def test_unit_margin_quadrature(self):
         oracle, _ = quad(lambda t: np.exp(-0.5 * t * t) / np.sqrt(2 * np.pi), 1.0, np.inf)
-        val = expected_error(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1)
+        val = one_draw_risks(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1).R_S
         assert val == pytest.approx(oracle, abs=1e-9)
         assert val == pytest.approx(0.15865525393145707, abs=1e-12)
 
@@ -120,25 +120,19 @@ class TestExpectedError:
         phi_bar = unit_rows(rng, (1, 4))[0]
         w = rng.normal(size=(200_000, 4)) + u
         mc = np.mean(np.sign(w @ phi_bar) != 1.0)
-        assert expected_error(u, phi_bar, 1) == pytest.approx(mc, abs=0.005)
-
-    def test_rejects_non_unit_feature(self):
-        with pytest.raises(ContractViolationError):
-            expected_error(np.ones(2), np.array([1.0, 1.0]), 1)
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(InvalidArgumentError):
-            expected_error(np.ones(2), np.array([1.0, 0.0]), 0)
+        assert one_draw_risks(u, phi_bar, 1).R_S == pytest.approx(mc, abs=0.005)
 
 
 class TestExpectedDisagreement:
+    """The closed-form disagreement: d_S of one example with one hidden draw."""
+
     def test_zero_margin_is_half(self):
-        assert expected_disagreement(np.zeros(2), np.array([0.0, 1.0])) == pytest.approx(0.5)
+        assert one_draw_risks(np.zeros(2), np.array([0.0, 1.0])).d_S == pytest.approx(0.5)
 
     def test_symmetric_in_margin_sign(self):
         phi_bar = np.array([1.0, 0.0])
-        a = expected_disagreement(np.array([1.3, 0.0]), phi_bar)
-        b = expected_disagreement(np.array([-1.3, 0.0]), phi_bar)
+        a = one_draw_risks(np.array([1.3, 0.0]), phi_bar).d_S
+        b = one_draw_risks(np.array([-1.3, 0.0]), phi_bar).d_S
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_monte_carlo_pairs(self):
@@ -148,7 +142,7 @@ class TestExpectedDisagreement:
         w1 = rng.normal(size=(100_000, 3)) + u
         w2 = rng.normal(size=(100_000, 3)) + u
         mc = np.mean(np.sign(w1 @ phi_bar) != np.sign(w2 @ phi_bar))
-        assert expected_disagreement(u, phi_bar) == pytest.approx(mc, abs=0.005)
+        assert one_draw_risks(u, phi_bar).d_S == pytest.approx(mc, abs=0.005)
 
 
 class TestKlWeights:
@@ -193,13 +187,12 @@ class TestEmpiricalRisks:
         r = empirical_risks(labeled, stack_features([], shape=(1, 2)), u)
         assert r.R_S == pytest.approx(0.5, abs=1e-12)  # (phi(1)+phi(-1))/2
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_decomposition_identity_same_set(self, exact):
+    def test_decomposition_identity_same_set(self):
         rng = np.random.default_rng(3)
         feats, labels = raw_instance(rng)
         u = rng.normal(size=6)
         labeled, same_rows = stack_features(feats[:4], labels), stack_features(feats[:4])
-        r = empirical_risks(labeled, same_rows, u, exact_pairing=exact)
+        r = empirical_risks(labeled, same_rows, u)
         assert r.e_S + 0.5 * r.d_S == pytest.approx(r.R_S, abs=1e-10)
 
     def test_empty_labeled_rejected(self):
@@ -356,12 +349,6 @@ class TestBatchedMatchesLoops:
             ).tobytes()
             r = empirical_risks(labeled, unlabeled, u)
             assert (r.e_S, r.d_S, r.R_S) == loop_empirical_risks(pairs, rows_u, u)
-            # exact pairing squares with x * x where the loop used pow(x, 2),
-            # which can differ in the last bit
-            r = empirical_risks(labeled, unlabeled, u, exact_pairing=True)
-            e_S, d_S, R_S = loop_empirical_risks(pairs, rows_u, u, exact_pairing=True)
-            assert (r.d_S, r.R_S) == (d_S, R_S)
-            assert r.e_S == pytest.approx(e_S, rel=1e-14, abs=1e-300)
 
     def test_example_sums_run_left_to_right_from_plus_zero(self):
         values = np.array([[-0.0, 1e-300, 3.0], [-0.0, -1e-300, 1e16], [-0.0, 0.0, -1e16]])
@@ -466,15 +453,3 @@ class TestJensenDomination:
             labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
             surrogate = surrogate_objective(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
             assert surrogate >= plug_in - 1e-12
-
-
-class TestClassifierState:
-    def test_validates(self):
-        with pytest.raises(InvalidArgumentError):
-            ClassifierState(u=np.zeros(3), u0=np.zeros(2), C=1.0)
-        with pytest.raises(InvalidArgumentError):
-            ClassifierState(u=np.zeros(2), u0=np.zeros(2), C=-1.0)
-        with pytest.raises(InvalidArgumentError):
-            ClassifierState(u=np.zeros(2), u0=np.zeros(2), C=1.0, delta=0.0)
-        state = ClassifierState(u=np.ones(2), u0=np.zeros(2), C=0.5)
-        assert state.delta == 0.05

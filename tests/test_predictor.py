@@ -6,7 +6,7 @@ import pytest
 from conftest import tiny_gmm_pair
 from pacgibbs.errors import InvalidArgumentError
 from pacgibbs.features import assemble
-from pacgibbs.predictor import evaluate, predict, score_example
+from pacgibbs.predictor import evaluate, predict
 from pacgibbs.trainer import TrainedTask
 
 
@@ -65,7 +65,7 @@ class TestPredict:
         oracle = 0.0
         for (i, j), row in zip(np.ndindex(2, 2), phi_bar):
             oracle += a_p[i] * a_m[j] * float(task.u @ row)
-        score = score_example(x, bp, bm, task.u, 20_000, np.random.default_rng(4))
+        score = predict(x, task, 20_000, np.random.default_rng(4)).score
         assert score == pytest.approx(oracle, abs=0.01)
 
     def test_unnormalized_scoring_flag(self):

@@ -88,8 +88,7 @@ class TestRejectionSampler:
         assert not out.degraded
         a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
         freq = np.zeros((2, 2))
-        for hp, hm, _, _ in out.draws:
-            freq[int(np.argmax(hp)), int(np.argmax(hm))] += 1
+        np.add.at(freq, (np.argmax(out.h_plus, axis=1), np.argmax(out.h_minus, axis=1)), 1)
         freq /= freq.sum()
         target = np.outer(a_p, a_m)
         assert np.abs(freq - target).max() < 0.01
@@ -103,7 +102,7 @@ class TestRejectionSampler:
         probs, z_norm = enumerate_gmm_tilt(x, 1, bp, bm, u, cfg)
         out = rejection_sample(x, 1, bp, bm, u, cfg, rng)
         freq = {}
-        for hp, hm, _, _ in out.draws:
+        for hp, hm in zip(out.h_plus, out.h_minus):
             key = (int(np.argmax(hp)), int(np.argmax(hm)))
             freq[key] = freq.get(key, 0) + 1
         tv = 0.5 * sum(abs(freq.get(k, 0) / cfg.n_draws - p) for k, p in probs.items())
@@ -125,9 +124,10 @@ class TestRejectionSampler:
         cfg = TiltConfig(C=1.0, m=2, m_l=1, m_u=1, n_draws=50, max_attempts=10_000)
         rng = np.random.default_rng(6)
         out = rejection_sample(np.array([0.1]), 1, bp, bm, np.ones(2 * bp.block_dim() + 1), cfg, rng)
-        assert len(out.draws) == 50
-        assert all(e <= 0 for _, _, _, e in out.draws)
-        assert out.feature_matrix().shape == (50, 2 * bp.block_dim() + 1)
+        assert out.exponents.shape == (50,)
+        assert np.all(out.exponents <= 0)
+        assert out.phi_bar.shape == (50, 2 * bp.block_dim() + 1)
+        assert out.h_plus.shape == out.h_minus.shape == (50, 2)
 
     def test_underflowing_tilt_triggers_fallback(self):
         bp, bm = tiny_gmm_pair()
@@ -137,7 +137,6 @@ class TestRejectionSampler:
         assert out.degraded
         assert out.acceptance_rate == 0.0
         assert out.attempts == 100
-        assert len(out.draws) == 5
+        assert len(out.exponents) == len(out.phi_bar) == 5
         # kept draws carry the largest exponents seen
-        kept = sorted(e for _, _, _, e in out.draws)
-        assert all(e <= 0 for e in kept)
+        assert np.all(out.exponents <= 0)

@@ -5,6 +5,8 @@ of uniforms.  They must return the same bits as the loops in
 ``reference_draws`` and leave the generator in the same state.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -13,7 +15,7 @@ import reference_draws as ref
 from pacgibbs.gmm import GmmBackend, GmmParams, _logsumexp
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward, sample_paths
 from pacgibbs.predictor import vote_scores
-from pacgibbs.sampler import TiltConfig, rejection_sample
+from pacgibbs.sampler import HiddenSampleSet, TiltConfig, rejection_sample
 
 HMM_STATES = (2, 5, 7, 8, 10, 16)
 
@@ -41,14 +43,17 @@ def bits(value) -> bytes:
     return arr.dtype.str.encode() + repr(arr.shape).encode() + arr.tobytes()
 
 
-def assert_same_sets(new, old):
-    assert new.acceptance_rate.hex() == old.acceptance_rate.hex()
-    assert (new.degraded, new.attempts) == (old.degraded, old.attempts)
-    assert len(new.draws) == len(old.draws)
-    for (hp, hm, f, e), (hp0, hm0, f0, e0) in zip(new.draws, old.draws):
-        assert bits(hp) == bits(hp0) and bits(hm) == bits(hm0)
-        assert bits(f.phi) == bits(f0.phi) and bits(f.phi_bar) == bits(f0.phi_bar)
-        assert type(e) is type(e0) is float and e.hex() == e0.hex()
+def sample_both(seed, x, y, bp, bm, u, cfg):
+    """The package's set, after checking it and the stream against the loop's."""
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = rejection_sample(x, y, bp, bm, u, cfg, rng_new)
+    old = ref.rejection_sample(x, y, bp, bm, u, cfg, rng_old)
+    for field in dataclasses.fields(HiddenSampleSet):
+        value, expected = getattr(new, field.name), getattr(old, field.name)
+        assert type(value) is type(expected), field.name
+        assert bits(value) == bits(expected), field.name
+    assert rng_new.random() == rng_old.random()
+    return new
 
 
 def sampler_cases(make_pair, n_cases, seed):
@@ -93,14 +98,27 @@ class TestSamplerMatchesLoop:
     )
     def test_bit_identical_sets_and_stream(self, make_pair, n_cases, seed):
         degraded = 0
-        for i, (x, y, bp, bm, u, cfg) in enumerate(sampler_cases(make_pair, n_cases, seed)):
-            rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
-            new = rejection_sample(x, y, bp, bm, u, cfg, rng_new)
-            old = ref.rejection_sample(x, y, bp, bm, u, cfg, rng_old)
-            assert_same_sets(new, old)
-            assert rng_new.random() == rng_old.random()
-            degraded += new.degraded
+        for i, case in enumerate(sampler_cases(make_pair, n_cases, seed)):
+            degraded += sample_both(i, *case).degraded
         assert 0 < degraded < n_cases
+
+    @pytest.mark.parametrize("make_pair,seed", [(gmm_pair, 77), (hmm_pair, 78)], ids=["gmm", "hmm"])
+    def test_saturated_tilt_ties_keep_order(self, make_pair, seed):
+        """Margins far past the tail make phi_tail exactly 1, so most proposals
+        share the exponent -C and none is accepted.  The fallback must then
+        keep the loop's tie order: accepted rows, then the heap's list."""
+        rng = np.random.default_rng(seed)
+        distinct_ties = 0
+        for i in range(60):
+            x, bp, bm = make_pair(i, rng)
+            n_draws = int(rng.integers(2, 9))
+            budget = int(rng.integers(n_draws, 4 * n_draws + 1))
+            cfg = TiltConfig(C=60.0, m=10, m_l=5, m_u=5, n_draws=n_draws, max_attempts=budget)
+            u = rng.normal(size=bp.block_dim() + bm.block_dim() + 1) * 300.0
+            new = sample_both(i, x, (1, -1)[i % 2], bp, bm, u, cfg)
+            tied = new.phi_bar[new.exponents == -cfg.C]
+            distinct_ties += len(np.unique(tied, axis=0)) > 1
+        assert distinct_ties > 10
 
 
 class TestPredictorMatchesLoop:

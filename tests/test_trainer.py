@@ -7,6 +7,7 @@ from conftest import two_cluster_data
 from pacgibbs.bounds import bound_supervised, stack_features, surrogate_objective
 from pacgibbs.errors import InvalidArgumentError, TrainingAbort
 from pacgibbs.gmm import GmmBackend
+from pacgibbs.predictor import vote_scores
 from pacgibbs.sampler import TiltConfig
 from pacgibbs import trainer as trainer_mod
 from pacgibbs.trainer import (
@@ -70,10 +71,8 @@ class TestInitU0:
         # the fitted direction classifies the training fraction well
         correct = 0
         rng = derive_rng(123, 55)
-        from pacgibbs.predictor import score_example
-
         for x, y in S_l:
-            s = score_example(x, bp, bm, u0, 5, rng)
+            s = np.mean(vote_scores(x, bp, bm, u0, 5, rng))
             correct += (1 if s >= 0 else -1) == y
         assert correct / len(S_l) >= 0.9
 
