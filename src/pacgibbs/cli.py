@@ -18,7 +18,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,8 +33,9 @@ from .data import (
     materialize_sequence_split,
     materialize_vector_split,
     one_vs_rest_tasks,
+    standardize,
 )
-from .errors import ConfigError, PacgibbsError
+from .errors import ConfigError, DataFormatError, PacgibbsError
 from .gmm import GmmBackend
 from .hmm import HmmBackend
 from .modelio import load_model, save_model
@@ -85,8 +85,9 @@ def _tilt_config(cfg: RunConfig, m_l: int, m_u: int) -> TiltConfig:
     )
 
 
-def _load_dataset(cfg: RunConfig, alphabet: str | None = None) -> Dataset:
-    if cfg["run.backend"] == "gmm":
+def _load_dataset(cfg: RunConfig, kind: str | None = None, alphabet: str | None = None) -> Dataset:
+    """The config's data file, read as ``kind`` (default: ``run.backend``)."""
+    if (kind or cfg["run.backend"]) == "gmm":
         return load_vectors(
             cfg["data.path"],
             delimiter=cfg["data.delimiter"],
@@ -170,31 +171,26 @@ def _resolve_positive(cfg: RunConfig, ds: Dataset) -> int:
     return 1  # second class name in sorted order is the positive side
 
 
-def _training_sets(cfg: RunConfig, ds: Dataset):
-    """Whole-file training sets for cmd_train/predict/bound-report."""
-    positive = _resolve_positive(cfg, ds)
+def _example_sets(cfg: RunConfig, ds: Dataset, xs):
+    """Whole-file (S_l, S_u): the labeled rows of ``xs`` as (x, +/-1) pairs
+    and, in semi mode, the unlabeled rows."""
     labeled_idx = np.flatnonzero(ds.labels >= 0)
-    unlabeled_idx = np.flatnonzero(ds.labels < 0)
-    feat_mean = feat_std = None
-    if ds.kind == "vector":
-        train_rows = (
-            np.concatenate([labeled_idx, unlabeled_idx])
-            if cfg["run.mode"] == "semi"
-            else labeled_idx
-        )
-        feat_mean = ds.vectors[train_rows].mean(axis=0)
-        std = ds.vectors[train_rows].std(axis=0)
-        feat_std = np.where(std > 0, std, 1.0)
-        xs_all = (ds.vectors - feat_mean) / feat_std
-        xs = [xs_all[i] for i in labeled_idx]
-        xs_u = [xs_all[i] for i in unlabeled_idx]
-    else:
-        xs = [ds.sequences[i] for i in labeled_idx]
-        xs_u = [ds.sequences[i] for i in unlabeled_idx]
-    ys = binary_labels(ds, labeled_idx, positive)
-    S_l = list(zip(xs, ys))
-    S_u = xs_u if cfg["run.mode"] == "semi" else []
-    return S_l, S_u, feat_mean, feat_std
+    ys = binary_labels(ds, labeled_idx, _resolve_positive(cfg, ds))
+    S_l = [(xs[i], int(y)) for i, y in zip(labeled_idx, ys)]
+    S_u = [xs[i] for i in np.flatnonzero(ds.labels < 0)] if cfg["run.mode"] == "semi" else []
+    return S_l, S_u
+
+
+def _training_sets(cfg: RunConfig, ds: Dataset):
+    """Whole-file training sets for cmd_train, standardized when vectors."""
+    if ds.kind != "vector":
+        return (*_example_sets(cfg, ds, ds.sequences), None, None)
+    labeled_idx = np.flatnonzero(ds.labels >= 0)
+    train_rows = labeled_idx
+    if cfg["run.mode"] == "semi":
+        train_rows = np.concatenate([labeled_idx, np.flatnonzero(ds.labels < 0)])
+    feat_mean, feat_std, xs = standardize(ds.vectors, train_rows)
+    return (*_example_sets(cfg, ds, xs), feat_mean, feat_std)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -233,24 +229,18 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _restore_inputs(cfg: RunConfig, model):
     """Load the data named in the config through a trained model's transforms."""
-    if model.backend_kind == "gmm":
-        ds = load_vectors(
-            cfg["data.path"],
-            delimiter=cfg["data.delimiter"],
-            label_column=cfg["data.label_column"],
-            has_header=cfg["data.header"],
+    ds = _load_dataset(cfg, model.backend_kind, model.alphabet)
+    if ds.kind == "sequence":
+        return ds, ds.sequences
+    trained_dim = model.task.backend_plus.params.dim
+    if ds.dim != trained_dim:
+        raise DataFormatError(
+            f"{cfg['data.path']} has {ds.dim} feature columns; "
+            f"the model was trained on {trained_dim}"
         )
-        if model.feat_mean is not None:
-            xs_all = (ds.vectors - model.feat_mean) / model.feat_std
-        else:
-            xs_all = ds.vectors
-        xs = [xs_all[i] for i in range(len(ds))]
-    else:
-        ds = load_sequences(
-            cfg["data.path"], delimiter=cfg["data.delimiter"], alphabet=model.alphabet or None
-        )
-        xs = ds.sequences
-    return ds, xs
+    if model.feat_mean is None:
+        return ds, list(ds.vectors)
+    return ds, list((ds.vectors - model.feat_mean) / model.feat_std)
 
 
 def cmd_predict(cfg: RunConfig, model_path: str) -> int:
@@ -282,19 +272,10 @@ def cmd_bound_report(cfg: RunConfig, model_path: str) -> int:
     cfg.validate()
     model = load_model(model_path)
     ds, xs = _restore_inputs(cfg, model)
-    positive = _resolve_positive(cfg, ds)
-    labeled_idx = np.flatnonzero(ds.labels >= 0)
-    if labeled_idx.size == 0:
+    S_l, S_u = _example_sets(cfg, ds, xs)
+    if not S_l:
         raise ConfigError("bound-report needs labeled data")
-    ys = binary_labels(ds, labeled_idx, positive)
-    S_l = [(xs[i], int(y)) for i, y in zip(labeled_idx, ys)]
-    S_u = [xs[i] for i in np.flatnonzero(ds.labels < 0)] if cfg["run.mode"] == "semi" else []
-    dim = model.task.u.shape[0]
-    expected_dim = model.task.backend_plus.block_dim() + model.task.backend_minus.block_dim() + 1
-    if dim != expected_dim:
-        raise ConfigError(f"model dimension mismatch: u has {dim}, backends give {expected_dim}")
     tilt = _tilt_config(cfg, len(S_l), len(S_u))
-    tilt = replace(tilt, C=model.task.C)
     delta = cfg["trainer.delta"]
     report = evaluate_bounds(S_l, S_u, model.task, tilt, delta, cfg["trainer.seed"])
     print(f"examples: {len(S_l)} labeled, {len(S_u)} unlabeled")
@@ -404,12 +385,14 @@ def cmd_benchmark(cfg: RunConfig) -> int:
         lc_rows = []
         for task_def, splits in task_splits:
             for size in sizes:
-                accs = [
-                    _benchmark_unit(cfg, ds, task_def, split, p, size)[4]
+                units = [
+                    _benchmark_unit(cfg, ds, task_def, split, p, size)
                     for p, split in enumerate(splits)
                 ]
-                mean, std = aggregate(accs)
-                lc_rows.append((task_def.name, size, cfg["run.mode"], mean, std))
+                mean, std = aggregate(unit[4] for unit in units)
+                # Every split of a task has the same labeled counts, so all
+                # its units train on the same (possibly capped) size.
+                lc_rows.append((task_def.name, units[0][3], cfg["run.mode"], mean, std))
         _write_csv(
             os.path.join(out_dir, "learning_curve.csv"),
             ("task", "n_labeled", "mode", "accuracy_mean", "accuracy_std"),

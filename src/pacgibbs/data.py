@@ -9,8 +9,8 @@ The benchmark protocol stratifies each binary task 50/50 into train and
 test halves per class, optionally peels a fraction of the test half off
 as an unlabeled pool (those examples are then excluded from test
 scoring), and repeats over seeded partitions.  Feature standardization
-is computed from training indices only and stored on the split, so test
-statistics never leak into preprocessing.
+is computed from training indices only, so test statistics never leak
+into preprocessing.
 """
 
 from __future__ import annotations
@@ -64,21 +64,26 @@ class TaskSplit:
     """Index sets of one seeded partition of a binary task.
 
     ``train_u`` is carved out of the test half; ``test`` excludes it.
-    ``feat_mean``/``feat_std`` are filled when the split is materialized
-    and always derive from training indices only.
     """
 
     train_l: np.ndarray
     train_u: np.ndarray
     test: np.ndarray
-    seed: int
     positive_class: int
-    feat_mean: np.ndarray | None = None
-    feat_std: np.ndarray | None = None
 
 
 def _split_line(line: str, delimiter: str) -> list[str]:
     return [cell.strip() for cell in line.rstrip("\n").split(delimiter)]
+
+
+def _class_labels(raw_labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted class names and each row's index into them (-1 if unlabeled)."""
+    class_names = sorted({l for l in raw_labels if l not in UNLABELED_TOKENS})
+    index = {name: i for i, name in enumerate(class_names)}
+    labels = np.array(
+        [UNLABELED if l in UNLABELED_TOKENS else index[l] for l in raw_labels], dtype=int
+    )
+    return class_names, labels
 
 
 def load_vectors(
@@ -86,7 +91,6 @@ def load_vectors(
     delimiter: str = ",",
     label_column: int = -1,
     has_header: bool = False,
-    classes: list[str] | None = None,
 ) -> Dataset:
     """Parse a delimited vector file; errors carry the offending line number."""
     rows: list[np.ndarray] = []
@@ -117,20 +121,10 @@ def load_vectors(
             if not np.all(np.isfinite(values)):
                 raise DataFormatError("non-finite feature cell (nan or inf)", lineno)
             rows.append(values)
-            if classes is not None and label not in classes and label not in UNLABELED_TOKENS:
-                raise DataFormatError(f"unknown label {label!r}", lineno)
             raw_labels.append(label)
     if not rows:
         raise DataFormatError(f"no data rows in {path}")
-    class_names = (
-        list(classes)
-        if classes is not None
-        else sorted({l for l in raw_labels if l not in UNLABELED_TOKENS})
-    )
-    index = {name: i for i, name in enumerate(class_names)}
-    labels = np.array(
-        [UNLABELED if l in UNLABELED_TOKENS else index[l] for l in raw_labels], dtype=int
-    )
+    class_names, labels = _class_labels(raw_labels)
     return Dataset(kind="vector", labels=labels, class_names=class_names, vectors=np.stack(rows))
 
 
@@ -138,7 +132,6 @@ def load_sequences(
     path: str,
     delimiter: str = ",",
     alphabet: str | None = None,
-    classes: list[str] | None = None,
 ) -> Dataset:
     """Parse ``label,LETTERS`` rows into integer token sequences."""
     raw: list[tuple[int, str, str]] = []  # (line number, label, letters)
@@ -152,8 +145,6 @@ def load_sequences(
             label, letters = cells
             if len(letters) < 2:
                 raise DataFormatError("sequence length must be at least 2", lineno)
-            if classes is not None and label not in classes and label not in UNLABELED_TOKENS:
-                raise DataFormatError(f"unknown label {label!r}", lineno)
             raw.append((lineno, label, letters))
     if not raw:
         raise DataFormatError(f"no data rows in {path}")
@@ -172,16 +163,7 @@ def load_sequences(
             raise DataFormatError(
                 f"letter {exc.args[0]!r} outside alphabet {alphabet!r}", lineno
             ) from None
-    raw_labels = [l for _, l, _ in raw]
-    class_names = (
-        list(classes)
-        if classes is not None
-        else sorted({l for l in raw_labels if l not in UNLABELED_TOKENS})
-    )
-    index = {name: i for i, name in enumerate(class_names)}
-    labels = np.array(
-        [UNLABELED if l in UNLABELED_TOKENS else index[l] for l in raw_labels], dtype=int
-    )
+    class_names, labels = _class_labels([l for _, l, _ in raw])
     return Dataset(
         kind="sequence",
         labels=labels,
@@ -242,7 +224,6 @@ def make_splits(
                 train_l=np.sort(np.concatenate(train_parts)),
                 train_u=np.sort(np.concatenate(pool_parts)),
                 test=np.sort(np.concatenate(test_parts)),
-                seed=seed,
                 positive_class=task.positive_class,
             )
         )
@@ -254,27 +235,30 @@ def binary_labels(ds: Dataset, indices: np.ndarray, positive_class: int) -> np.n
     return np.where(ds.labels[indices] == positive_class, 1, -1)
 
 
+def standardize(vectors: np.ndarray, train_rows: np.ndarray):
+    """(mean, std, standardized vectors), the statistics from ``train_rows`` only.
+
+    A constant column keeps std 1, so it maps to zero instead of NaN.
+    """
+    train = vectors[train_rows]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    return mean, std, (vectors - mean) / std
+
+
 def materialize_vector_split(ds: Dataset, split: TaskSplit):
     """Standardized arrays for one split: (X_l, y_l, X_u, X_test, y_test).
 
-    The standardization statistics come from train_l plus train_u only
-    and are stored on the split.
+    The standardization statistics come from train_l plus train_u only.
     """
     train_rows = np.concatenate([split.train_l, split.train_u]).astype(int)
-    stats_x = ds.vectors[train_rows]
-    mean = stats_x.mean(axis=0)
-    std = stats_x.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    split.feat_mean, split.feat_std = mean, std
-
-    def transform(idx):
-        return (ds.vectors[idx] - mean) / std
-
+    _, _, X = standardize(ds.vectors, train_rows)
     return (
-        transform(split.train_l),
+        X[split.train_l],
         binary_labels(ds, split.train_l, split.positive_class),
-        transform(split.train_u),
-        transform(split.test),
+        X[split.train_u],
+        X[split.test],
         binary_labels(ds, split.test, split.positive_class),
     )
 

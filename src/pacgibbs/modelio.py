@@ -188,6 +188,11 @@ def load_model(path: str) -> LoadedModel:
         (alpha_len,) = r.unpack("<I")
         alphabet = r.raw(alpha_len).decode("utf-8")
         feat_mean = feat_std = None
+    expected_dim = bp.block_dim() + bm.block_dim() + 1
+    if dim != expected_dim:
+        raise DataFormatError(
+            f"{path}: model dimension mismatch: u has {dim}, backends give {expected_dim}"
+        )
     task = TrainedTask(
         u0=u0,
         u=u,

@@ -13,27 +13,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import (
-    enumerate_gmm_tilt,
-    enumerate_hmm_tilt,
-    one_draw_risks,
-    sample_hmm_sequence,
-    tiny_gmm_pair,
-    tiny_hmm_pair,
-)
-from pacgibbs.bounds import (
-    empirical_risks,
-    grad_C,
-    grad_u,
-    stack_features,
-    surrogate_objective,
-)
+from conftest import one_draw_risks, sample_hmm_sequence
+from pacgibbs import selftest
 from pacgibbs.cli import main as cli_main
 from pacgibbs.gmm import GmmBackend
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward
-from pacgibbs.numerics import finite_diff_gradient, phi_tail
+from pacgibbs.numerics import phi_tail
 from pacgibbs.predictor import evaluate
-from pacgibbs.sampler import TiltConfig, rejection_sample
+from pacgibbs.sampler import TiltConfig
 from pacgibbs.trainer import TrainConfig, evaluate_bounds, multi_restart_train, train
 
 SEP = 1.6
@@ -54,146 +41,44 @@ def two_blobs(rng, n_per_class):
 class TestCriterion1GradU:
     def test_gradient_matches_finite_differences(self):
         start = time.perf_counter()
-        rng = np.random.default_rng(101)
-        worst = 0.0
-        for _ in range(20):
-            dim = int(rng.integers(2, 31))
-            n = int(rng.integers(1, 6))
-            m_l = int(rng.integers(1, 21))
-            m_u = int(rng.integers(0, 21))
-            feats = rng.normal(size=(m_l + m_u, n, dim))
-            feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-            labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
-            labeled = stack_features(feats[:m_l], labels)
-            unlabeled = stack_features(feats[m_l:])
-            u = rng.normal(size=dim)
-            u0 = rng.normal(size=dim)
-            C = float(rng.uniform(0.1, 3.0))
-            m = m_l + m_u
-
-            def j_of(v):
-                return surrogate_objective(labeled, unlabeled, v, u0, C, m, m_l, m_u, n)
-
-            analytic = grad_u(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
-            numeric = finite_diff_gradient(j_of, u, 1e-6)
-            rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300)
-            worst = max(worst, float(rel))
+        r = selftest.check_grad_u()
         elapsed = time.perf_counter() - start
-        report(
-            1,
-            "weight-gradient correctness",
-            worst < 1e-5 and elapsed < 10.0,
-            f"max relative error {worst:.3e} (tol 1e-5), {elapsed:.1f}s (budget 10s)",
-        )
+        assert r.tol == 1e-5
+        detail = f"max relative error {r.max_err:.3e} (tol 1e-5), {elapsed:.1f}s (budget 10s)"
+        report(1, "weight-gradient correctness", r.passed and elapsed < 10.0, detail)
 
 
 class TestCriterion2GradC:
     def test_c_gradient_matches_finite_differences(self):
-        import math
-
         start = time.perf_counter()
-        rng = np.random.default_rng(202)
-        worst = 0.0
-        for _ in range(5):
-            R = float(rng.uniform(0.05, 0.6))
-            d = float(rng.uniform(0.0, 0.6))
-            kl_const = float(rng.uniform(0.0, 3.0))
-            C = float(rng.uniform(0.2, 4.0))
-            delta = float(rng.choice([0.5, 0.05, 0.005]))
-            m = int(rng.integers(10, 300))
-
-            def bound_of_c(c):
-                j = c * (R + d) + kl_const
-                return (1.0 - math.exp(-j - math.log(delta) / m)) / (1.0 - math.exp(-c))
-
-            numeric = (bound_of_c(C + 1e-6) - bound_of_c(C - 1e-6)) / 2e-6
-            analytic = grad_C(C * (R + d) + kl_const, R, d, C, delta, m)
-            worst = max(worst, abs(analytic - numeric) / abs(numeric))
+        r = selftest.check_grad_c()
         elapsed = time.perf_counter() - start
-        report(
-            2,
-            "trade-off-gradient correctness",
-            worst < 1e-4 and elapsed < 1.0,
-            f"max relative error {worst:.3e} (tol 1e-4), {elapsed:.2f}s (budget 1s)",
-        )
+        assert r.tol == 1e-4
+        detail = f"max relative error {r.max_err:.3e} (tol 1e-4), {elapsed:.2f}s (budget 1s)"
+        report(2, "trade-off-gradient correctness", r.passed and elapsed < 1.0, detail)
 
 
 class TestCriterion3RiskDecomposition:
     def test_closed_form_and_assembled_identity(self):
-        grid = np.linspace(-6.0, 6.0, 2401)
-        p, q = phi_tail(grid), phi_tail(-grid)
-        closed = float(np.abs(p * p + p * q - p).max())
-
-        rng = np.random.default_rng(303)
-        assembled = 0.0
-        for _ in range(10):
-            dim, n, m_l = int(rng.integers(2, 12)), int(rng.integers(1, 5)), int(rng.integers(1, 15))
-            feats = rng.normal(size=(m_l, n, dim))
-            feats /= np.linalg.norm(feats, axis=2, keepdims=True)
-            labels = [int(rng.choice([-1, 1])) for _ in range(m_l)]
-            u = rng.normal(size=dim) * rng.uniform(0.1, 5.0)
-            r = empirical_risks(stack_features(feats, labels), stack_features(feats), u)
-            assembled = max(assembled, abs(r.e_S + 0.5 * r.d_S - r.R_S))
-        ok = closed < 1e-10 and assembled < 1e-10
-        report(
-            3,
-            "risk decomposition identity",
-            ok,
-            f"closed-form error {closed:.2e}, assembled error {assembled:.2e} (tol 1e-10)",
-        )
+        r = selftest.check_decomposition()
+        assert r.tol == 1e-10
+        report(3, "risk decomposition identity", r.passed, f"{r.detail} (tol 1e-10)")
 
 
 class TestCriterion4SamplerFidelity:
     N_ACCEPTED = 100_000
 
     def test_gmm_and_hmm_sampler_fidelity(self):
+        assert selftest.N_ACCEPTED == self.N_ACCEPTED
         start = time.perf_counter()
-        details = []
-        ok = True
-
-        # --- mixture instance, both classes enumerable (2 x 2 configurations)
-        bp, bm = tiny_gmm_pair()
-        x = np.array([0.5])
-        rng = np.random.default_rng(404)
-        u = rng.normal(size=2 * bp.block_dim() + 1) * 0.8
-        cfg = TiltConfig(
-            C=1.2, m=4, m_l=2, m_u=2, n_draws=self.N_ACCEPTED, max_attempts=60 * self.N_ACCEPTED
-        )
-        probs, z_norm = enumerate_gmm_tilt(x, 1, bp, bm, u, cfg)
-        out = rejection_sample(x, 1, bp, bm, u, cfg, rng)
-        freq = {}
-        for hp, hm in zip(out.h_plus, out.h_minus):
-            key = (int(np.argmax(hp)), int(np.argmax(hm)))
-            freq[key] = freq.get(key, 0) + 1
-        tv = 0.5 * sum(abs(freq.get(k, 0) / self.N_ACCEPTED - p) for k, p in probs.items())
-        se = np.sqrt(z_norm * (1.0 - z_norm) / out.attempts)
-        z_err_ok = abs(out.acceptance_rate - z_norm) < 3 * se
-        ok &= tv < 0.02 and z_err_ok
-        details.append(f"mixture TV {tv:.4f}, rate {out.acceptance_rate:.4f} vs Z {z_norm:.4f}")
-
-        # --- 2-state chain instance, 4 time steps (2^4 paths per model)
-        hp_b, hm_b = tiny_hmm_pair()
-        xs = np.array([0, 2, 1, 0])
-        rng = np.random.default_rng(405)
-        u = rng.normal(size=2 * hp_b.block_dim() + 1) * 0.5
-        cfg = TiltConfig(
-            C=1.2, m=4, m_l=2, m_u=2, n_draws=self.N_ACCEPTED, max_attempts=60 * self.N_ACCEPTED
-        )
-        probs_h, z_h = enumerate_hmm_tilt(xs, 1, hp_b, hm_b, u, cfg)
-        out_h = rejection_sample(xs, 1, hp_b, hm_b, u, cfg, rng)
-        freq_h = {}
-        for qp, qm in zip(out_h.h_plus, out_h.h_minus):
-            key = (tuple(qp), tuple(qm))
-            freq_h[key] = freq_h.get(key, 0) + 1
-        tv_h = 0.5 * sum(abs(freq_h.get(k, 0) / self.N_ACCEPTED - p) for k, p in probs_h.items())
-        se_h = np.sqrt(z_h * (1.0 - z_h) / out_h.attempts)
-        z_h_ok = abs(out_h.acceptance_rate - z_h) < 3 * se_h
-        ok &= tv_h < 0.02 and z_h_ok
-        details.append(f"chain TV {tv_h:.4f}, rate {out_h.acceptance_rate:.4f} vs Z {z_h:.4f}")
-
+        results = selftest.check_sampler()
         elapsed = time.perf_counter() - start
-        ok &= elapsed < 120.0
-        report(4, "sampler fidelity", ok, "; ".join(details) + f"; {elapsed:.0f}s (budget 120s)")
+        # (TV distance, |rate - Z| in standard errors) for the mixture, then the chain
+        assert [r.tol for r in results] == [0.02, 3.0, 0.02, 3.0]
+        ok = all(r.passed for r in results) and elapsed < 120.0
+        pairs = zip(results[::2], results[1::2])
+        details = "; ".join(f"{tv.detail}, {rate.detail}" for tv, rate in pairs)
+        report(4, "sampler fidelity", ok, f"{details}; {elapsed:.0f}s (budget 120s)")
 
 
 class TestCriterion5GaussianIntegrals:

@@ -20,7 +20,8 @@ from pacgibbs.bounds import (
 )
 from conftest import one_draw_risks
 from pacgibbs.errors import ContractViolationError, InvalidArgumentError
-from pacgibbs.numerics import finite_diff_gradient, gauss_pdf, phi_tail
+from pacgibbs.numerics import gauss_pdf, phi_tail
+from pacgibbs.selftest import grad_c_error, grad_u_error
 
 
 def unit_rows(rng, shape):
@@ -270,14 +271,7 @@ class TestGradU:
             labeled, unlabeled = random_instance(rng)
             u, u0 = rng.normal(size=6), rng.normal(size=6)
             C = float(rng.uniform(0.2, 2.5))
-
-            def j_of(v):
-                return surrogate_objective(labeled, unlabeled, v, u0, C, 7, 4, 3, 3)
-
-            analytic = grad_u(labeled, unlabeled, u, u0, C, 7, 4, 3, 3)
-            numeric = finite_diff_gradient(j_of, u, 1e-6)
-            rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-            assert rel < 1e-5
+            assert grad_u_error(labeled, unlabeled, u, u0, C, 7, 4, 3, 3) < 1e-5
 
 
 class TestStackFeatures:
@@ -396,13 +390,6 @@ class TestBounds:
 
 
 class TestGradC:
-    def _bound_of_c(self, R, d, kl_const, delta, m):
-        def f(c):
-            j = c * (R + d) + kl_const
-            return (1.0 - math.exp(-j - math.log(delta) / m)) / (1.0 - math.exp(-c))
-
-        return f
-
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -410,11 +397,7 @@ class TestGradC:
             d = float(rng.uniform(0.0, 0.5))
             kl_const = float(rng.uniform(0.0, 2.0))
             C = float(rng.uniform(0.3, 3.0))
-            delta, m = 0.05, 60
-            f = self._bound_of_c(R, d, kl_const, delta, m)
-            numeric = (f(C + 1e-6) - f(C - 1e-6)) / 2e-6
-            analytic = grad_C(C * (R + d) + kl_const, R, d, C, delta, m)
-            assert abs(analytic - numeric) / abs(numeric) < 1e-4
+            assert grad_c_error(R, d, kl_const, C, 0.05, 60) < 1e-4
 
     def test_zero_risk_fixed_point(self):
         m, delta = 30, 0.05

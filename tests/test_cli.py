@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pacgibbs.bounds import grad_C, grad_u
 from pacgibbs.cli import main
 from pacgibbs.config import load_config
 from pacgibbs.errors import ConfigError
@@ -251,6 +252,29 @@ class TestPredictAndBoundReport:
             assert code == 2
             assert f"{cut} is truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["predict", "bound-report"])
+    def test_feature_count_mismatch_fails_cleanly(self, trained, tmp_path, capsys, command):
+        _, model, out = trained  # trained on 2 feature columns
+        wide = tmp_path / "wide.csv"
+        wide.write_text("".join(f"0.1,0.2,0.3,{label}\n" for label in ("pos", "neg") * 3))
+        settings = ("--set", f"data.path={wide}", "--set", f"run.output_dir={out}")
+        code = run_cli(command, "--model", model, *settings)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{wide} has 3 feature columns; the model was trained on 2" in err
+
+    @pytest.mark.parametrize("command", ["predict", "bound-report"])
+    def test_model_dimension_mismatch_fails_cleanly(self, trained, capsys, command):
+        data, model, out = trained
+        loaded = load_model(model)
+        loaded.task.u = loaded.task.u0 = np.zeros(loaded.task.u.size + 1)
+        bad = out / "bad.bin"
+        save_model(str(bad), loaded.task, "gmm", loaded.feat_mean, loaded.feat_std)
+        settings = ("--set", f"data.path={data}", "--set", f"run.output_dir={out}")
+        code = run_cli(command, "--model", str(bad), *settings)
+        assert code == 2
+        assert f"{bad}: model dimension mismatch" in capsys.readouterr().err
+
     def test_bound_report_delta_sweep_monotone(self, trained, capsys):
         data, model, out = trained
         raws = []
@@ -287,7 +311,7 @@ class TestBenchmarkCommand:
             out = tmp_path / name
             code = run_cli(
                 "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
-                "--set", "data.n_partitions=2", "--set", "benchmark.learning_curve_sizes=6,10",
+                "--set", "data.n_partitions=2", "--set", "benchmark.learning_curve_sizes=6,500",
                 *[f"--set={o}" for o in FAST_OVERRIDES]
             )
             assert code == 0
@@ -295,8 +319,10 @@ class TestBenchmarkCommand:
         assert curves[0] == curves[1]
         rows = curves[0].decode().splitlines()
         assert len(rows) == 1 + 2 * 2  # |sizes| x |tasks| + header
+        # The size each row's models trained on: 500 exceeds the labeled half
+        # of every split (10 rows per class), so its rows report 20.
         sizes = [row.split(",")[1] for row in rows[1:]]
-        assert sizes == ["6", "10", "6", "10"]
+        assert sizes == ["6", "20", "6", "20"]
 
 
 class TestHmmBackendCommands:
@@ -340,16 +366,21 @@ class TestSelftestCommand:
         assert "PASS" in out and "FAIL" not in out
         assert "max error" in out
 
-    def test_injected_gradient_bug_is_caught(self):
-        def broken_grad(labeled, unlabeled, u, u0, C, m, m_l, m_u, n):
-            from pacgibbs.bounds import grad_u
+    @pytest.mark.parametrize(
+        "impl, exact, target",
+        [
+            ("grad_u_impl", grad_u, "grad_u vs finite differences"),
+            ("grad_c_impl", grad_C, "grad_C vs finite differences"),
+        ],
+        ids=["grad_u", "grad_C"],
+    )
+    def test_injected_gradient_bug_is_caught(self, impl, exact, target):
+        def broken_grad(*args):
+            return -exact(*args)  # sign error
 
-            g = grad_u(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
-            return -g  # sign error
-
-        results = selftest_mod.run_all(grad_u_impl=broken_grad)
+        results = selftest_mod.run_all(**{impl: broken_grad})
         by_name = {r.name: r for r in results}
-        assert not by_name["grad_u vs finite differences"].passed
+        assert not by_name[target].passed
         # every other check still passes
-        others = [r for r in results if r.name != "grad_u vs finite differences"]
+        others = [r for r in results if r.name != target]
         assert all(r.passed for r in others)

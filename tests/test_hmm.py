@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import all_paths, enumerate_hmm_joint, sample_hmm_sequence, tiny_hmm_pair
+from conftest import enumerate_hmm_joint, sample_hmm_sequence, tiny_hmm_pair
 from pacgibbs.errors import InvalidSequenceError
 from pacgibbs.hmm import (
     HmmParams,
@@ -12,6 +12,7 @@ from pacgibbs.hmm import (
     m_step_hmm,
     sample_paths,
 )
+from pacgibbs.selftest import tv_distance
 from reference_draws import joint_log_density_hmm
 
 
@@ -117,12 +118,8 @@ class TestSamplePath:
         x = np.array([0, 2, 1])
         joint = enumerate_hmm_joint(x, p)
         lik = sum(joint.values())
-        post = forward_backward(x, p)
-        freq = {q: 0 for q in all_paths(2, 3)}
-        n = 100_000
-        for q in sample_paths(p, post, rng.random((n, x.size))):
-            freq[tuple(q)] += 1
-        tv = 0.5 * sum(abs(freq[q] / n - joint[q] / lik) for q in freq)
+        paths = sample_paths(p, forward_backward(x, p), rng.random((100_000, x.size)))
+        tv = tv_distance({q: j / lik for q, j in joint.items()}, [tuple(q) for q in paths])
         assert tv < 0.02
 
 
@@ -186,11 +183,9 @@ class TestJointLogDensity:
         rng = np.random.default_rng(4)
         p = random_params(2, 3, rng)
         x = np.array([1, 0, 2])
-        total = sum(
-            np.exp(joint_log_density_hmm(x, np.array(q), p)) for q in all_paths(2, 3)
-        )
-        oracle = sum(enumerate_hmm_joint(x, p).values())
-        assert total == pytest.approx(oracle, rel=1e-12)
+        joint = enumerate_hmm_joint(x, p)  # every one of the 2^3 paths
+        total = sum(np.exp(joint_log_density_hmm(x, np.array(q), p)) for q in joint)
+        assert total == pytest.approx(sum(joint.values()), rel=1e-12)
 
     def test_state_relabeling_symmetry(self):
         rng = np.random.default_rng(5)

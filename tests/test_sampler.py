@@ -9,6 +9,7 @@ from pacgibbs.errors import InvalidArgumentError
 from pacgibbs.features import assemble
 from pacgibbs.numerics import phi_tail
 from pacgibbs.sampler import TiltConfig, rejection_sample, tilt_exponents
+from pacgibbs.selftest import component_pair, rate_error, tv_distance
 
 
 def unit_feature(vec):
@@ -101,12 +102,8 @@ class TestRejectionSampler:
         cfg = TiltConfig(C=2.5, m=4, m_l=2, m_u=2, n_draws=20_000, max_attempts=2_000_000)
         probs, z_norm = enumerate_gmm_tilt(x, 1, bp, bm, u, cfg)
         out = rejection_sample(x, 1, bp, bm, u, cfg, rng)
-        freq = {}
-        for hp, hm in zip(out.h_plus, out.h_minus):
-            key = (int(np.argmax(hp)), int(np.argmax(hm)))
-            freq[key] = freq.get(key, 0) + 1
-        tv = 0.5 * sum(abs(freq.get(k, 0) / cfg.n_draws - p) for k, p in probs.items())
-        assert tv < 0.03
+        keys = [component_pair(hp, hm) for hp, hm in zip(out.h_plus, out.h_minus)]
+        assert tv_distance(probs, keys) < 0.03
 
     def test_acceptance_rate_estimates_normalizer(self):
         bp, bm = tiny_gmm_pair()
@@ -116,8 +113,7 @@ class TestRejectionSampler:
         cfg = TiltConfig(C=1.5, m=4, m_l=2, m_u=2, n_draws=20_000, max_attempts=2_000_000)
         _, z_norm = enumerate_gmm_tilt(x, -1, bp, bm, u, cfg)
         out = rejection_sample(x, -1, bp, bm, u, cfg, rng)
-        se = np.sqrt(z_norm * (1 - z_norm) / out.attempts)
-        assert abs(out.acceptance_rate - z_norm) < 3 * se
+        assert rate_error(out, z_norm) < 3.0
 
     def test_exponents_recorded_nonpositive(self):
         bp, bm = tiny_gmm_pair()
