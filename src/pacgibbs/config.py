@@ -2,8 +2,8 @@
 
 A config file is UTF-8 text, one ``section.key = value`` pair per line;
 blank lines and ``#`` comments are ignored.  Every key has a typed
-default below, printable via the CLI ``--print-config`` flag; unknown
-keys are rejected so typos fail loudly.
+default below, printable with the ``pacgibbs print-config`` command;
+unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ class RunConfig:
         for key, allowed in _ENUMS.items():
             if self.values[key] not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {self.values[key]!r}")
+        for key in ("gmm.components", "hmm.states"):
+            if self.values[key] < 1:
+                raise ConfigError(f"{key} must be at least 1, got {self.values[key]}")
         if require_data:
             path = self.values["data.path"]
             if not path:

@@ -141,10 +141,11 @@ def sample_paths(params: HmmParams, posterior: HmmPosterior, uniforms: np.ndarra
 
     Returns a (k, L) int array; row ``i`` uses uniforms row ``i``, column
     ``j`` at time step ``L-1-j``.  A step picks the first state whose
-    running total reaches ``total * u``.  Every total is the 1-d ``sum()``
-    of that row: numpy's 1-d sum adds eight-wide blocks pairwise, so for
-    eight or more states it can differ in the last bit from ``cumsum`` and
-    from a sum along an axis of the stack.
+    running total reaches ``total * u``.  Each step's totals are one
+    ``sum(axis=1)`` over the C-contiguous (k, M) stack, which reduces every
+    row with the same pairwise loop as that row's 1-d ``sum()``.  For eight
+    or more states that pairwise sum can differ in the last bit from
+    ``cumsum``, so the running total's last entry is not used.
     """
     alphas = posterior.alphas
     L, M = alphas.shape
@@ -153,7 +154,7 @@ def sample_paths(params: HmmParams, posterior: HmmPosterior, uniforms: np.ndarra
     for j, t in enumerate(range(L - 1, -1, -1)):
         if t < L - 1:
             p = alphas[t] * params.transition.T[q[:, t + 1]]
-        totals = np.array([row.sum() for row in p])
+        totals = p.sum(axis=1)
         below = np.cumsum(p, axis=1) < (totals * uniforms[:, j])[:, None]
         q[:, t] = np.minimum(below.sum(axis=1), M - 1)
     return q

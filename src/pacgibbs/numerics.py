@@ -9,7 +9,6 @@ so they are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import InvalidArgumentError
 
@@ -32,6 +31,9 @@ def phi_tail(a):
     oracle).  Strictly decreasing, with ``phi_tail(a) + phi_tail(-a) == 1``
     to machine precision.
     """
+    # Imported on first use: scipy.special takes ~0.35 s to load, and predict never gets here.
+    from scipy.special import erfc
+
     arr = _check_finite(a, "a")
     out = 0.5 * erfc(arr * _INV_SQRT_2)
     return float(out) if np.isscalar(a) or arr.ndim == 0 else out

@@ -2,6 +2,9 @@
 
 import filecmp
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,24 @@ def write_vector_file(path, n_per_class=16, seed=0, unlabeled=0):
     return str(path)
 
 
+def write_sequence_file(path, seed=6):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(14):
+        lines.append("fam1," + "".join(rng.choice(list("AB"), size=12)) + "AA")
+    for _ in range(14):
+        lines.append("fam2," + "".join(rng.choice(list("CD"), size=12)) + "CC")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+HMM_OVERRIDES = [
+    "run.backend=hmm", "hmm.states=2", "hmm.symbols=0",
+    "trainer.max_outer_iters=3", "trainer.restarts=1",
+    "trainer.c_update=fixed", "tilt.n_draws=3",
+]
+
+
 FAST_OVERRIDES = [
     "trainer.max_outer_iters=3",
     "trainer.restarts=1",
@@ -36,6 +57,13 @@ FAST_OVERRIDES = [
     "gmm.components=2",
     "tilt.n_draws=3",
 ]
+
+
+def small_task(tmp_path, backend):
+    """(data file, fast training overrides) for a small task of ``backend``."""
+    if backend == "hmm":
+        return write_sequence_file(tmp_path / "s.csv"), HMM_OVERRIDES
+    return write_vector_file(tmp_path / "d.csv"), FAST_OVERRIDES
 
 
 def run_cli(*args):
@@ -82,6 +110,17 @@ class TestConfig:
         code = run_cli("train", "--set", f"run.output_dir={tmp_path}")
         assert code == 2
         assert "data.path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("key", ["gmm.components", "hmm.states"])
+    def test_count_below_one_names_key(self, tmp_path, capsys, key, value):
+        data, overrides = small_task(tmp_path, key.split(".")[0])
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path}",
+            *[f"--set={o}" for o in overrides], "--set", f"{key}={value}",
+        )
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 class TestModelIo:
@@ -327,23 +366,11 @@ class TestBenchmarkCommand:
 
 class TestHmmBackendCommands:
     def test_train_and_predict_on_sequences(self, tmp_path, capsys):
-        rng = np.random.default_rng(6)
-        lines = []
-        for _ in range(14):
-            lines.append("fam1," + "".join(rng.choice(list("AB"), size=12)) + "AA")
-        for _ in range(14):
-            lines.append("fam2," + "".join(rng.choice(list("CD"), size=12)) + "CC")
-        data = tmp_path / "seq.csv"
-        data.write_text("\n".join(lines) + "\n")
+        data = write_sequence_file(tmp_path / "seq.csv")
         out = tmp_path / "out"
-        overrides = [
-            "run.backend=hmm", "hmm.states=2", "hmm.symbols=0",
-            "trainer.max_outer_iters=3", "trainer.restarts=1",
-            "trainer.c_update=fixed", "tilt.n_draws=3",
-        ]
         code = run_cli(
             "train", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
-            *[f"--set={o}" for o in overrides],
+            *[f"--set={o}" for o in HMM_OVERRIDES],
         )
         assert code == 0
         model = out / "model.bin"
@@ -357,6 +384,45 @@ class TestHmmBackendCommands:
         assert code == 0
         text = capsys.readouterr().out
         assert "accuracy" in text
+
+
+# Prints whether scipy is loaded after importing the package, then after
+# running the CLI command given in argv (if any), and the command's code.
+SCIPY_PROBE = """
+import sys
+import pacgibbs, pacgibbs.cli
+after_import = "scipy" in sys.modules
+code = pacgibbs.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, after_import, "scipy" in sys.modules)
+"""
+
+
+class TestScipyStaysUnloaded:
+    """Only training needs scipy (``phi_tail``'s ``erfc``); importing the
+    package and predicting must not pay its start-up cost."""
+
+    def probe(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        assert self.probe() == "0 False False"
+
+    @pytest.mark.parametrize("backend", ["gmm", "hmm"])
+    def test_predict_loads_no_scipy(self, tmp_path, backend):
+        data, overrides = small_task(tmp_path, backend)
+        out = tmp_path / "out"
+        common = ["--set", f"data.path={data}", "--set", f"run.output_dir={out}"]
+        assert run_cli("train", *common, *[f"--set={o}" for o in overrides]) == 0
+        model = str(out / "model.bin")
+        argv = ["predict", "--model", model, *common, "--set", f"run.backend={backend}"]
+        assert self.probe(*argv) == "0 False False"
 
 
 class TestSelftestCommand:

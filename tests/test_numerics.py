@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from pacgibbs.errors import InvalidArgumentError
 from pacgibbs.numerics import finite_diff_gradient, gauss_pdf, phi_tail
@@ -45,6 +46,15 @@ class TestPhiTail:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InvalidArgumentError):
             phi_tail(bad)
+
+    def test_equals_scipy_erfc_bit_for_bit(self):
+        # phi_tail scales by 1/sqrt(2) rather than dividing by sqrt(2); the two
+        # can differ in the last bit, so the oracle scales the same way.
+        rng = np.random.default_rng(3)
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 20001), 6.0 * rng.normal(size=5000)])
+        expected = 0.5 * erfc(grid * (1.0 / np.sqrt(2.0)))
+        assert phi_tail(grid).tobytes() == expected.tobytes()
+        assert [phi_tail(float(a)) for a in grid[::97]] == [float(e) for e in expected[::97]]
 
 
 class TestGaussPdf:

@@ -165,8 +165,16 @@ def boundary_uniforms(params, posterior, k, rng):
     return uniforms
 
 
+def assert_paths_match_loop(params, x, post, uniforms):
+    paths = sample_paths(params, post, uniforms)
+    for q, row in zip(paths, uniforms):
+        assert bits(q) == bits(ref.sample_path(x, params, post, _Stream(row)))
+
+
 class TestPathsMatchLoop:
-    @pytest.mark.parametrize("M", HMM_STATES)
+    # 9, 17 and 33 states leave a remainder after numpy's eight-wide pairwise
+    # blocks; 130 is above its 128-element block, so the sum recurses.
+    @pytest.mark.parametrize("M", HMM_STATES + (9, 17, 33, 130))
     def test_random_and_boundary_uniforms(self, M):
         rng = np.random.default_rng(74 + M)
         for L in (1, 2, 5, 30):
@@ -174,9 +182,17 @@ class TestPathsMatchLoop:
             x = rng.integers(0, 4, size=L)
             post = forward_backward(x, params)
             for uniforms in (rng.random((8, L)), boundary_uniforms(params, post, 40, rng)):
-                paths = sample_paths(params, post, uniforms)
-                for q, row in zip(paths, uniforms):
-                    assert bits(q) == bits(ref.sample_path(x, params, post, _Stream(row)))
+                assert_paths_match_loop(params, x, post, uniforms)
+
+    @pytest.mark.parametrize("M", (10, 130))
+    def test_thousand_row_stack(self, M):
+        rng = np.random.default_rng(77 + M)
+        L = 12
+        params = random_hmm_params(M, 4, rng)
+        x = rng.integers(0, 4, size=L)
+        post = forward_backward(x, params)
+        for uniforms in (rng.random((1200, L)), boundary_uniforms(params, post, 1200, rng)):
+            assert_paths_match_loop(params, x, post, uniforms)
 
 
 class TestForwardBackwardXi:
