@@ -107,6 +107,11 @@ def load_vectors(
                 width = len(cells)
                 if width < 2:
                     raise DataFormatError("need at least one feature and a label", lineno)
+                if not -width <= label_column < width:
+                    raise DataFormatError(
+                        f"data.label_column={label_column} lies outside a row of {width} cells",
+                        lineno,
+                    )
             elif len(cells) != width:
                 raise DataFormatError(
                     f"expected {width} cells, found {len(cells)}", lineno

@@ -50,10 +50,16 @@ def assemble(blocks_plus: np.ndarray, blocks_minus: np.ndarray) -> tuple[np.ndar
 class GenerativeBackend(ABC):
     """Contract every class-conditional generative model must satisfy.
 
-    Hidden draws come in stacks: a call draws k configurations at once
-    from ``k`` rows of uniforms, ``uniforms_per_draw(x)`` per row, and
-    every draw is a function of its own row alone.  That keeps the draws
-    of a stack equal to k single draws from the same uniforms in turn.
+    The inference methods take a stack of B inputs ``xs`` (a list; one
+    input is a stack of one).  ``approx_posterior(xs)`` returns their
+    posteriors as a stack that slices like a list, ``post[i : i + 1]``
+    being input ``i``'s, and gives every input the bits of a call on
+    that input alone.  Hidden draws come in stacks too: ``sample_hidden``
+    draws k configurations per input from B*k rows of uniforms, input
+    ``i``'s in rows ``i*k`` to ``(i+1)*k - 1``, ``uniforms_per_draw(x)``
+    per row, so the inputs of one such stack must share that count.
+    Every draw is a function of its own row alone, which keeps the draws
+    of a stack equal to single draws from the same uniforms in turn.
 
     Parameters are immutable during a sampling pass; ``update_parameters``
     is the only mutator and must not run concurrently with inference.
@@ -64,20 +70,20 @@ class GenerativeBackend(ABC):
         """Dimension of the feature block this backend emits."""
 
     @abstractmethod
-    def approx_posterior(self, x):
-        """Posterior parameters of the hidden variables given ``x``."""
+    def approx_posterior(self, xs):
+        """Posterior parameters of the hidden variables of each input in ``xs``."""
 
     @abstractmethod
     def uniforms_per_draw(self, x) -> int:
         """Uniforms in [0, 1) that one draw of the hidden variables of ``x`` uses."""
 
     @abstractmethod
-    def sample_hidden(self, x, posterior, uniforms: np.ndarray):
-        """k exact draws from P(h | x), stacked, one per row of the (k, U) ``uniforms``."""
+    def sample_hidden(self, xs, posterior, uniforms: np.ndarray):
+        """k exact draws from P(h | x) per input, one per row of the (B*k, U) ``uniforms``."""
 
     @abstractmethod
-    def feature_block(self, x, h, posterior) -> np.ndarray:
-        """(k, block_dim()) feature blocks for the k stacked draws ``h`` of ``x``."""
+    def feature_block(self, xs, h, posterior) -> np.ndarray:
+        """(B*k, block_dim()) feature blocks for the stacked draws ``h`` of ``xs``."""
 
     @abstractmethod
     def update_parameters(self, samples) -> None:

@@ -11,7 +11,9 @@ so the block dimension is ``K * (2d + 2)``.
 
 Responsibilities are evaluated in log space (stable for squared distances
 up to ~1e4) and floored before renormalization so that ``log a_i`` stays
-finite for every component a draw can select.
+finite for every component a draw can select.  A stack of m inputs has
+one (m, K) responsibility array; each row has the bits of that input's
+responsibilities computed alone.
 """
 
 from __future__ import annotations
@@ -51,63 +53,85 @@ class GmmParams:
         return GmmParams(self.weights.copy(), self.means.copy(), self.variances.copy())
 
 
-def _log_component_densities(x: np.ndarray, params: GmmParams) -> np.ndarray:
-    """log N(x; mu_k, diag sigma2_k) for every component k."""
-    diff = x[None, :] - params.means
+def _log_component_densities(X: np.ndarray, params: GmmParams) -> np.ndarray:
+    """(m, K) log N(x; mu_k, diag sigma2_k) for every row x of ``X`` and component k."""
+    diff = X[:, None, :] - params.means
     return -0.5 * np.sum(
         diff * diff / params.variances + np.log(2.0 * np.pi * params.variances),
-        axis=1,
+        axis=2,
     )
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    """``scipy.special.logsumexp(v)`` of a 1-d array, by scipy 1.17's own arithmetic.
+def _logsumexp(v: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp`` of every row of a 2-d array, by scipy 1.17's own arithmetic.
 
-    The largest entries are counted (``m``) and left out of the shifted
-    sum, which is then formed over the full-length array as scipy forms
-    it; a non-finite result falls back to the direct formula, as in scipy.
+    In each row the largest entries are counted (``m``) and left out of
+    the shifted sum, which is then formed over the full row as scipy forms
+    it; a row with a non-finite result falls back to the direct formula,
+    as in scipy.  Each row sum is one ``sum(axis=1)`` over a C-contiguous
+    array, which reduces every row with the same pairwise loop as that
+    row's 1-d ``sum()``.
     """
-    top = v.max()
+    top = v.max(axis=1, keepdims=True)
     ties = v == top
-    m = float(np.count_nonzero(ties))
+    m = np.count_nonzero(ties, axis=1).astype(float)
     rest = np.exp(v - top)
     rest[ties] = 0.0
-    out = np.log1p(rest.sum() / m) + np.log(m) + top
-    return out if np.isfinite(out) else np.log(np.exp(v).sum())
+    out = np.log1p(rest.sum(axis=1) / m) + np.log(m) + top[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = np.log(np.exp(v[bad]).sum(axis=1))
+    return out
 
 
 def responsibilities(
-    x: np.ndarray, params: GmmParams, posterior_floor: float = POSTERIOR_FLOOR
+    xs, params: GmmParams, posterior_floor: float = POSTERIOR_FLOOR
 ) -> np.ndarray:
-    """Posterior component probabilities of ``x`` under the mixture.
+    """(m, K) posterior component probabilities of the m vectors ``xs``.
 
-    ``a_k`` is proportional to ``pi_k * N(x; mu_k, diag sigma2_k)``,
-    floored at ``posterior_floor`` and renormalized.
+    ``xs`` is a sequence of m vectors or an (m, d) array.  Row ``i`` holds
+    ``a_k`` proportional to ``pi_k * N(x_i; mu_k, diag sigma2_k)``, floored
+    at ``posterior_floor`` and renormalized.
     """
-    log_a = np.log(params.weights) + _log_component_densities(np.asarray(x, float), params)
-    a = np.exp(log_a - _logsumexp(log_a))
+    X = np.asarray(xs, dtype=float).reshape(len(xs), params.dim)
+    log_a = np.log(params.weights) + _log_component_densities(X, params)
+    a = np.exp(log_a - _logsumexp(log_a)[:, None])
     a = np.maximum(a, posterior_floor)
-    return a / a.sum()
+    return a / a.sum(axis=1, keepdims=True)
 
 
 def sample_z(a: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Categorical draws from responsibilities ``a``, one per uniform, as (k, K) one-hot rows."""
-    k = np.minimum(np.searchsorted(np.cumsum(a), uniforms), a.shape[0] - 1)
-    z = np.zeros((uniforms.shape[0], a.shape[0]))
+    """Categorical draws from (B, K) responsibilities ``a``, as (B*k, K) one-hot rows.
+
+    Row ``i`` of ``a`` draws k components from uniforms ``i*k`` to
+    ``(i+1)*k - 1`` of the (B*k,) ``uniforms``.  A draw picks the first
+    component whose running total reaches its uniform: the count of
+    totals below it, which is what ``searchsorted`` returns.
+    """
+    B, K = a.shape
+    u = uniforms.reshape(B, -1)
+    below = np.cumsum(a, axis=1)[:, None, :] < u[:, :, None]
+    k = np.minimum(below.sum(axis=2), K - 1).ravel()
+    z = np.zeros((k.shape[0], K))
     z[np.arange(k.shape[0]), k] = 1.0
     return z
 
 
-def feature_block_gmm(x: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(k, K(2d+2)) feature blocks for the stacked one-hot draws ``z`` of (x, a)."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    per_comp = np.empty((a.shape[0], 2 * d + 2))
-    per_comp[:, :d] = x
-    per_comp[:, d : 2 * d] = x * x
-    per_comp[:, 2 * d] = 1.0
-    per_comp[:, 2 * d + 1] = np.log(a)
-    return (z[:, :, None] * per_comp).reshape(z.shape[0], -1)
+def feature_block_gmm(xs, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(B*k, K(2d+2)) feature blocks of the B vectors ``xs`` and their stacked draws.
+
+    ``a`` holds the (B, K) responsibilities and ``z`` k one-hot draws per
+    vector, vector ``i``'s in rows ``i*k`` to ``(i+1)*k - 1``.
+    """
+    B, K = a.shape
+    X = np.asarray(xs, dtype=float).reshape(B, -1)
+    d = X.shape[1]
+    per_comp = np.empty((B, K, 2 * d + 2))
+    per_comp[:, :, :d] = X[:, None, :]
+    per_comp[:, :, d : 2 * d] = (X * X)[:, None, :]
+    per_comp[:, :, 2 * d] = 1.0
+    per_comp[:, :, 2 * d + 1] = np.log(a)
+    return (z.reshape(B, -1, K, 1) * per_comp[:, None]).reshape(z.shape[0], -1)
 
 
 def m_step_gmm(
@@ -193,17 +217,17 @@ class GmmBackend(GenerativeBackend):
     def block_dim(self) -> int:
         return self.params.n_components * (2 * self.params.dim + 2)
 
-    def approx_posterior(self, x) -> np.ndarray:
-        return responsibilities(x, self.params, self.posterior_floor)
+    def approx_posterior(self, xs) -> np.ndarray:
+        return responsibilities(xs, self.params, self.posterior_floor)
 
     def uniforms_per_draw(self, x) -> int:
         return 1
 
-    def sample_hidden(self, x, posterior, uniforms: np.ndarray) -> np.ndarray:
+    def sample_hidden(self, xs, posterior, uniforms: np.ndarray) -> np.ndarray:
         return sample_z(posterior, uniforms[:, 0])
 
-    def feature_block(self, x, h, posterior) -> np.ndarray:
-        return feature_block_gmm(x, h, posterior)
+    def feature_block(self, xs, h, posterior) -> np.ndarray:
+        return feature_block_gmm(xs, h, posterior)
 
     def update_parameters(self, samples) -> None:
         self.params = m_step_gmm(samples, self.params, self.variance_floor)

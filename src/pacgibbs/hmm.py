@@ -4,9 +4,11 @@ Hidden variable: a state path ``q`` (stored as an int array of state
 indices, one per time step).  Inference uses the scaled forward-backward
 recursions; exact path draws use forward-filter backward-sampling, so the
 proposal distribution is exactly P(q | x) as the rejection rule requires.
-Paths are drawn in stacks: k paths of a length-L sequence use a (k, L)
-block of uniforms, column ``j`` for time step ``L-1-j``, in the order a
-single backward pass consumes them.
+Posteriors of a stack of sequences are computed together, one time step
+at a time for all sequences of one length.  Paths are drawn in stacks:
+k paths of each of B length-L sequences use a (B*k, L) block of
+uniforms, column ``j`` for time step ``L-1-j``, in the order a single
+backward pass consumes them.
 
 The feature block for a realization ``(x, q)`` stacks, in order::
 
@@ -91,94 +93,141 @@ def _check_tokens(x: np.ndarray, n_symbols: int) -> np.ndarray:
     return x
 
 
-def forward_backward(x: np.ndarray, params: HmmParams, prob_floor: float = PROB_FLOOR) -> HmmPosterior:
-    """Scaled forward-backward pass; returns exact posteriors for ``x``."""
-    x = _check_tokens(x, params.n_symbols)
-    L, M = x.size, params.n_states
-    emit = params.emission[:, x]  # (M, L)
+def forward_backward(xs, params: HmmParams, prob_floor: float = PROB_FLOOR) -> list[HmmPosterior]:
+    """Scaled forward-backward passes of a stack of sequences; posteriors in input order.
 
-    alphas = np.empty((L, M))
-    scales = np.empty(L)
-    alphas[0] = params.initial * emit[:, 0]
-    scales[0] = alphas[0].sum()
-    alphas[0] /= scales[0]
-    for t in range(1, L):
-        alphas[t] = (alphas[t - 1] @ params.transition) * emit[:, t]
-        scales[t] = alphas[t].sum()
-        alphas[t] /= scales[t]
+    Sequences of one length run their recursions together, see
+    :func:`_forward_backward_stack`.
+    """
+    xs = [_check_tokens(x, params.n_symbols) for x in xs]
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        by_length.setdefault(x.size, []).append(i)
+    posts: list = [None] * len(xs)
+    for idx in by_length.values():
+        stack = _forward_backward_stack(np.stack([xs[i] for i in idx]), params, prob_floor)
+        for i, post in zip(idx, stack):
+            posts[i] = post
+    return posts
 
-    betas = np.empty((L, M))
-    betas[L - 1] = 1.0
+
+def _forward_backward_stack(
+    X: np.ndarray, params: HmmParams, prob_floor: float
+) -> list[HmmPosterior]:
+    """Posteriors of the rows of a (B, L) token array, one time step at a time for all B.
+
+    Every row gets the bits of a pass over that sequence alone: each
+    ``alpha @ A`` is a stacked (B, 1, M) @ (M, M) product and each
+    ``A @ v`` a stacked (M, M) @ (B, M, 1) one, which numpy computes with
+    the same BLAS call per row as the 1-d product; each scale is one
+    ``sum(axis=1)`` over a C-contiguous (B, M) array, which reduces every
+    row with the same pairwise loop as its 1-d ``sum()``; the rest is
+    elementwise or sums over time, which run in the same order.
+    """
+    B, L = X.shape
+    M = params.n_states
+    A = params.transition
+    emit = params.emission.T[X]  # (B, L, M)
+
+    alphas = np.empty((B, L, M))
+    scales = np.empty((B, L))
+    alpha = params.initial * emit[:, 0]
+    for t in range(L):
+        if t > 0:
+            alpha = (alpha[:, None, :] @ A)[:, 0] * emit[:, t]
+        scales[:, t] = alpha.sum(axis=1)
+        alpha = alpha / scales[:, t, None]
+        alphas[:, t] = alpha
+
+    betas = np.empty((B, L, M))
+    betas[:, L - 1] = 1.0
     for t in range(L - 2, -1, -1):
-        betas[t] = params.transition @ (emit[:, t + 1] * betas[t + 1]) / scales[t + 1]
+        v = emit[:, t + 1] * betas[:, t + 1]
+        betas[:, t] = (A @ v[:, :, None])[:, :, 0] / scales[:, t + 1, None]
 
     gamma = alphas * betas
     xi = (
-        alphas[:-1, :, None]
-        * params.transition
-        * (emit[:, 1:].T * betas[1:])[:, None, :]
-        / scales[1:, None, None]
+        alphas[:, :-1, :, None]
+        * A
+        * (emit[:, 1:] * betas[:, 1:])[:, :, None, :]
+        / scales[:, 1:, None, None]
     )
 
-    counts = xi.sum(axis=0) if L > 1 else np.zeros((M, M))
-    row_mass = counts.sum(axis=1)
-    a_post = np.full((M, M), 1.0 / M)
+    counts = xi.sum(axis=1) if L > 1 else np.zeros((B, M, M))
+    row_mass = counts.sum(axis=2)
+    a_post = np.full((B, M, M), 1.0 / M)
     occupied = row_mass > 0.0
-    a_post[occupied] = counts[occupied] / row_mass[occupied, None]
+    a_post[occupied] = counts[occupied] / row_mass[occupied][:, None]
     a_post = _floor_rows(a_post, prob_floor)
+    log_likelihood = np.log(scales).sum(axis=1).tolist()
 
-    return HmmPosterior(
-        gamma=gamma,
-        xi=xi,
-        transition_post=a_post,
-        alphas=alphas,
-        log_likelihood=float(np.log(scales).sum()),
-    )
+    return [
+        HmmPosterior(
+            gamma=gamma[b],
+            xi=xi[b],
+            transition_post=a_post[b],
+            alphas=alphas[b],
+            log_likelihood=log_likelihood[b],
+        )
+        for b in range(B)
+    ]
 
 
-def sample_paths(params: HmmParams, posterior: HmmPosterior, uniforms: np.ndarray) -> np.ndarray:
-    """k exact draws from P(q | x) by backward sampling of the forward filter.
+def sample_paths(params: HmmParams, posteriors, uniforms: np.ndarray) -> np.ndarray:
+    """k exact draws from P(q | x) for each of B equal-length sequences, by
+    backward sampling of the forward filter.
 
-    Returns a (k, L) int array; row ``i`` uses uniforms row ``i``, column
-    ``j`` at time step ``L-1-j``.  A step picks the first state whose
-    running total reaches ``total * u``.  Each step's totals are one
-    ``sum(axis=1)`` over the C-contiguous (k, M) stack, which reduces every
-    row with the same pairwise loop as that row's 1-d ``sum()``.  For eight
-    or more states that pairwise sum can differ in the last bit from
-    ``cumsum``, so the running total's last entry is not used.
+    ``posteriors`` holds the B sequences' posteriors and ``uniforms`` is
+    (B*k, L): sequence ``i`` draws with rows ``i*k`` to ``(i+1)*k - 1``,
+    column ``j`` at time step ``L-1-j``.  Returns the (B*k, L) int paths
+    in the same row order.  A step picks the first state whose running
+    total reaches ``total * u``.  Each step's totals are one ``sum(axis=2)``
+    over the (B, k, M) stack of contiguous rows, which reduces every row
+    with the same pairwise loop as that row's 1-d ``sum()``.  For eight or more
+    states that pairwise sum can differ in the last bit from ``cumsum``,
+    so the running total's last entry is not used.
     """
-    alphas = posterior.alphas
-    L, M = alphas.shape
-    q = np.empty((uniforms.shape[0], L), dtype=int)
-    p = alphas[L - 1][None, :]  # one row: the last step of every path uses it
+    alphas = np.stack([post.alphas for post in posteriors])  # (B, L, M)
+    B, L, M = alphas.shape
+    u = uniforms.reshape(B, -1, L)
+    q = np.empty(u.shape, dtype=int)
+    back = params.transition.T
+    p = alphas[:, L - 1, None, :]  # the last step of every path of a sequence uses it
     for j, t in enumerate(range(L - 1, -1, -1)):
         if t < L - 1:
-            p = alphas[t] * params.transition.T[q[:, t + 1]]
-        totals = p.sum(axis=1)
-        below = np.cumsum(p, axis=1) < (totals * uniforms[:, j])[:, None]
-        q[:, t] = np.minimum(below.sum(axis=1), M - 1)
-    return q
+            p = alphas[:, t, None, :] * back[q[:, :, t + 1]]
+        totals = p.sum(axis=2)
+        below = np.cumsum(p, axis=2) < (totals * u[:, :, j])[:, :, None]
+        q[:, :, t] = np.minimum(below.sum(axis=2), M - 1)
+    return q.reshape(-1, L)
 
 
 def feature_block_hmm(
-    x: np.ndarray, q: np.ndarray, transition_post: np.ndarray, n_symbols: int
+    X: np.ndarray, q: np.ndarray, transition_post: np.ndarray, n_symbols: int
 ) -> np.ndarray:
-    """(k, M + 2*M^2 + M*K_out) feature blocks for the stacked paths ``q`` of ``x``."""
-    k, L = q.shape
-    M = transition_post.shape[0]
-    draw = np.arange(k)[:, None]
-    init = np.zeros((k, M))
+    """(B*k, M + 2*M^2 + M*K_out) feature blocks of B equal-length sequences' stacked paths.
+
+    ``X`` is the (B, L) token array, ``transition_post`` the (B, M, M)
+    posterior transition matrices, and ``q`` the (B*k, L) paths, sequence
+    ``i``'s in rows ``i*k`` to ``(i+1)*k - 1``.
+    """
+    R, L = q.shape
+    B, M = transition_post.shape[:2]
+    k = R // B
+    draw = np.arange(R)[:, None]
+    init = np.zeros((R, M))
     init[draw[:, 0], q[:, 0]] = 1.0
     trans_idx = (draw * M + q[:, :-1]) * M + q[:, 1:]
-    trans_counts = np.bincount(trans_idx.ravel(), minlength=k * M * M).reshape(k, M * M)
-    emit_idx = (draw * M + q) * n_symbols + x
-    emit_counts = np.bincount(emit_idx.ravel(), minlength=k * M * n_symbols)
+    trans_counts = np.bincount(trans_idx.ravel(), minlength=R * M * M).reshape(R, M * M)
+    emit_idx = (draw * M + q) * n_symbols + np.repeat(X, k, axis=0)
+    emit_counts = np.bincount(emit_idx.ravel(), minlength=R * M * n_symbols)
+    log_post = np.repeat(np.log(transition_post).reshape(B, M * M), k, axis=0)
     return np.concatenate(
         [
             init,
             trans_counts,
-            trans_counts * np.log(transition_post).ravel(),
-            emit_counts.reshape(k, M * n_symbols),
+            trans_counts * log_post,
+            emit_counts.reshape(R, M * n_symbols),
         ],
         axis=1,
     )
@@ -260,18 +309,21 @@ class HmmBackend(GenerativeBackend):
         M = self.params.n_states
         return M + 2 * M * M + M * self.params.n_symbols
 
-    def approx_posterior(self, x) -> HmmPosterior:
-        return forward_backward(x, self.params, self.prob_floor)
+    def approx_posterior(self, xs) -> list[HmmPosterior]:
+        return forward_backward(xs, self.params, self.prob_floor)
 
     def uniforms_per_draw(self, x) -> int:
         return len(x)
 
-    def sample_hidden(self, x, posterior, uniforms: np.ndarray) -> np.ndarray:
+    def sample_hidden(self, xs, posterior, uniforms: np.ndarray) -> np.ndarray:
         return sample_paths(self.params, posterior, uniforms)
 
-    def feature_block(self, x, h, posterior) -> np.ndarray:
+    def feature_block(self, xs, h, posterior) -> np.ndarray:
         return feature_block_hmm(
-            np.asarray(x, dtype=int), h, posterior.transition_post, self.params.n_symbols
+            np.asarray(xs, dtype=int),
+            h,
+            np.stack([post.transition_post for post in posterior]),
+            self.params.n_symbols,
         )
 
     def update_parameters(self, samples) -> None:

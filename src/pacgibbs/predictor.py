@@ -5,9 +5,15 @@ scores each realized feature with the trained weight mean, and thresholds
 the average at zero.  Ties (score exactly 0) resolve to +1; this is a
 fixed, documented convention and tests pin it.
 
-The ``n`` pairs are one :func:`~pacgibbs.sampler.propose` stack from an
-``(n, U_plus + U_minus)`` block of uniforms, the order in which ``n``
-draws made one at a time consume them.
+:func:`predict` handles a list of inputs at once.  Input ``i`` takes its
+``(n, U_plus + U_minus)`` block of uniforms from the shared stream after
+those of inputs ``0 .. i-1``, the order in which inputs predicted one at
+a time, and ``n`` draws made one at a time, consume them.  Inputs that
+use as many uniforms per draw (for sequences: of one length) are
+proposed, scored and voted as one :func:`~pacgibbs.sampler.propose`
+stack.  :func:`evaluate` and the ``predict`` command call :func:`predict`
+once per block of at most ``BLOCK_ROWS`` votes, so the stacked arrays
+stay small on large files.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .features import GenerativeBackend, row_dots
 from .features import assemble  # noqa: F401
 from .sampler import propose
 
+BLOCK_ROWS = 1024  # votes (stacked proposal rows) per predict call
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -32,29 +40,44 @@ class Prediction:
     votes: tuple[float, ...]
 
 
+def blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices of ``count`` inputs, each at most ``BLOCK_ROWS`` votes
+    of ``n`` per input (and at least one input)."""
+    step = max(1, BLOCK_ROWS // max(n, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def vote_scores(
-    x,
+    xs,
     backend_plus: GenerativeBackend,
     backend_minus: GenerativeBackend,
     u: np.ndarray,
     n: int,
     rng: np.random.Generator,
     normalized: bool = True,
-) -> list[float]:
+) -> np.ndarray:
+    """(len(xs), n) vote scores of the inputs ``xs``, row ``i`` for input ``i``."""
     if n < 1:
         raise InvalidArgumentError("need at least one vote")
-    posts = (backend_plus.approx_posterior(x), backend_minus.approx_posterior(x))
-    n_uniforms = backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x)
-    uniforms = rng.random((n, n_uniforms))
-    _, _, phi, phi_bar = propose(x, backend_plus, backend_minus, posts, uniforms)
-    return row_dots(u, phi_bar if normalized else phi).tolist()
+    widths = [backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) for x in xs]
+    stream = rng.random(n * sum(widths))
+    starts = n * np.cumsum([0] + widths[:-1], dtype=int)
+    votes = np.empty((len(xs), n))
+    for width in dict.fromkeys(widths):
+        idx = [i for i, w in enumerate(widths) if w == width]
+        group = [xs[i] for i in idx]
+        posts = (backend_plus.approx_posterior(group), backend_minus.approx_posterior(group))
+        uniforms = stream[starts[idx][:, None] + np.arange(n * width)].reshape(-1, width)
+        _, _, phi, phi_bar = propose(group, backend_plus, backend_minus, posts, uniforms)
+        votes[idx] = row_dots(u, phi_bar if normalized else phi).reshape(len(idx), n)
+    return votes
 
 
-def predict(x, task, n: int = 5, rng: np.random.Generator | None = None) -> Prediction:
-    """Majority-vote label for ``x`` under a trained task."""
+def predict(xs, task, n: int = 5, rng: np.random.Generator | None = None) -> list[Prediction]:
+    """Majority-vote labels for the inputs ``xs`` under a trained task, in input order."""
     rng = rng if rng is not None else np.random.default_rng(0)
     votes = vote_scores(
-        x,
+        xs,
         task.backend_plus,
         task.backend_minus,
         task.u,
@@ -62,8 +85,11 @@ def predict(x, task, n: int = 5, rng: np.random.Generator | None = None) -> Pred
         rng,
         normalized=task.predict_normalized,
     )
-    score = float(np.mean(votes))
-    return Prediction(label=1 if score >= 0 else -1, score=score, votes=tuple(votes))
+    scores = votes.mean(axis=1).tolist()
+    return [
+        Prediction(label=1 if score >= 0 else -1, score=score, votes=tuple(row))
+        for score, row in zip(scores, votes.tolist())
+    ]
 
 
 def evaluate(dataset, task, n: int = 5, rng: np.random.Generator | None = None) -> float:
@@ -72,5 +98,9 @@ def evaluate(dataset, task, n: int = 5, rng: np.random.Generator | None = None) 
     if not dataset:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
     rng = rng if rng is not None else np.random.default_rng(0)
-    correct = sum(predict(x, task, n, rng).label == y for x, y in dataset)
+    xs = [x for x, _ in dataset]
+    correct = 0
+    for block in blocks(len(dataset), n):
+        predictions = predict(xs[block], task, n, rng)
+        correct += sum(p.label == y for p, (_, y) in zip(predictions, dataset[block]))
     return correct / len(dataset)

@@ -86,26 +86,29 @@ class HiddenSampleSet:
 
 
 def propose(
-    x,
+    xs,
     backend_plus: GenerativeBackend,
     backend_minus: GenerativeBackend,
     posts: tuple,
     uniforms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """k untilted proposals for ``x``, one per row of the (k, U_plus + U_minus) ``uniforms``.
+    """k untilted proposals for each of the B inputs ``xs``, one per row of ``uniforms``.
 
-    ``posts`` holds both models' posteriors of ``x``.  Each row's first
-    U_plus uniforms draw the positive model's hidden configuration, the
-    rest the negative model's.  Returns the stacked ``(h_plus, h_minus,
-    phi, phi_bar)``.
+    ``uniforms`` is (B*k, U_plus + U_minus), so the inputs must share
+    their uniforms per draw (for sequences: their length).  ``posts``
+    holds both models' posteriors of ``xs``.  Input ``i`` draws with rows
+    ``i*k`` to ``(i+1)*k - 1``; each row's first U_plus uniforms draw the
+    positive model's hidden configuration, the rest the negative model's.
+    Returns the stacked ``(h_plus, h_minus, phi, phi_bar)`` in the same
+    row order.
     """
     post_plus, post_minus = posts
-    n_plus = backend_plus.uniforms_per_draw(x)
-    h_plus = backend_plus.sample_hidden(x, post_plus, uniforms[:, :n_plus])
-    h_minus = backend_minus.sample_hidden(x, post_minus, uniforms[:, n_plus:])
+    n_plus = backend_plus.uniforms_per_draw(xs[0])
+    h_plus = backend_plus.sample_hidden(xs, post_plus, uniforms[:, :n_plus])
+    h_minus = backend_minus.sample_hidden(xs, post_minus, uniforms[:, n_plus:])
     phi, phi_bar = assemble(
-        backend_plus.feature_block(x, h_plus, post_plus),
-        backend_minus.feature_block(x, h_minus, post_minus),
+        backend_plus.feature_block(xs, h_plus, post_plus),
+        backend_minus.feature_block(xs, h_minus, post_minus),
     )
     return h_plus, h_minus, phi, phi_bar
 
@@ -139,6 +142,7 @@ def rejection_sample(
     u: np.ndarray,
     cfg: TiltConfig,
     rng: np.random.Generator,
+    posts: tuple | None = None,
 ) -> HiddenSampleSet:
     """Draw ``cfg.n_draws`` hidden pairs from the tilted posterior of ``x``.
 
@@ -146,8 +150,12 @@ def rejection_sample(
     pair is accepted with probability ``exp(tilt exponent)``.  If the
     attempt budget runs out first, the n_draws proposals with the largest
     exponents seen so far are kept and the result is flagged degraded.
+    ``posts`` holds both models' posteriors of ``x`` as stacks of one;
+    without it they are computed here.
     """
-    posts = (backend_plus.approx_posterior(x), backend_minus.approx_posterior(x))
+    xs = [x]
+    if posts is None:
+        posts = (backend_plus.approx_posterior(xs), backend_minus.approx_posterior(xs))
     n_uniforms = backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) + 1
 
     chunks = []  # (h_plus, h_minus, phi_bar, exponents) of each chunk of proposals
@@ -159,7 +167,7 @@ def rejection_sample(
         k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
         uniforms = rng.random((k, n_uniforms))
         h_plus, h_minus, _, phi_bar = propose(
-            x, backend_plus, backend_minus, posts, uniforms[:, :-1]
+            xs, backend_plus, backend_minus, posts, uniforms[:, :-1]
         )
         exponents = tilt_exponents(phi_bar, y, u, cfg)
         chunks.append((h_plus, h_minus, phi_bar, exponents))

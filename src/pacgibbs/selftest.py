@@ -245,8 +245,8 @@ def _enumerate_tilt(x, y, u, cfg, plus, minus):
     (bp, keys_p, h_p, w_p), (bm, keys_m, h_m, w_m) = plus, minus
     ip, im = np.array(list(itertools.product(range(len(keys_p)), range(len(keys_m))))).T
     _, phi_bar = assemble(
-        bp.feature_block(x, h_p[ip], bp.approx_posterior(x)),
-        bm.feature_block(x, h_m[im], bm.approx_posterior(x)),
+        bp.feature_block([x], h_p[ip], bp.approx_posterior([x])),
+        bm.feature_block([x], h_m[im], bm.approx_posterior([x])),
     )
     mass = w_p[ip] * w_m[im] * np.exp(tilt_exponents(phi_bar, y, u, cfg))
     z_norm = sum(mass.tolist())
@@ -258,7 +258,7 @@ def enumerate_gmm_tilt(x, y, bp, bm, u, cfg):
     """Tilted posterior over all (k_plus, k_minus) component pairs; see ``_enumerate_tilt``."""
     sides = []
     for backend in (bp, bm):
-        a = backend.approx_posterior(x)
+        (a,) = backend.approx_posterior([x])
         sides.append((backend, range(a.size), np.eye(a.size), a))
     return _enumerate_tilt(x, y, u, cfg, *sides)
 

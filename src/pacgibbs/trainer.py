@@ -114,16 +114,22 @@ class TrainedTask:
 
 
 def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
-    """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``."""
-    sets_l = [
-        rejection_sample(x, y, bp, bm, u, tcfg, derive_rng(seed, *key, i))
-        for i, (x, y) in enumerate(S_l)
+    """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``.
+
+    Both models' posteriors of every example come from one stacked call
+    each; every example's sampler gets its own slice.
+    """
+    xs = [x for x, _ in S_l] + list(S_u)
+    ys = [y for _, y in S_l] + [None] * len(S_u)
+    post_plus, post_minus = bp.approx_posterior(xs), bm.approx_posterior(xs)
+    sets = [
+        rejection_sample(
+            x, y, bp, bm, u, tcfg, derive_rng(seed, *key, i),
+            (post_plus[i : i + 1], post_minus[i : i + 1]),
+        )
+        for i, (x, y) in enumerate(zip(xs, ys))
     ]
-    sets_u = [
-        rejection_sample(x, None, bp, bm, u, tcfg, derive_rng(seed, *key, len(S_l) + i))
-        for i, x in enumerate(S_u)
-    ]
-    return sets_l, sets_u
+    return sets[: len(S_l)], sets[len(S_l) :]
 
 
 def _feature_batches(S_l, sets_l, sets_u, shape):

@@ -1,9 +1,10 @@
-"""Per-draw reference implementations of the stacked proposal path.
+"""Per-input, per-draw reference implementations of the stacked paths.
 
-These are the loops that stacked drawing replaced: one hidden draw, one
-feature vector and one random number at a time.  The bit-identity tests
-compare the package's stacked sampler and predictor with them.  The
-joint and marginal densities are test oracles the package does not need.
+These are the loops that stacking replaced: one input's posteriors at a
+time, and one hidden draw, one feature vector and one random number at a
+time.  The bit-identity tests compare the package's stacked posteriors,
+sampler and predictor with them.  The joint and marginal densities are
+test oracles the package does not need.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.special import logsumexp
 
 from pacgibbs.errors import InvalidFeatureError
 from pacgibbs.gmm import GmmBackend
-from pacgibbs.hmm import HmmBackend
+from pacgibbs.hmm import HmmBackend, HmmPosterior, _check_tokens, _floor_rows
 from pacgibbs.numerics import phi_tail
 from pacgibbs.sampler import HiddenSampleSet
 
@@ -38,6 +39,25 @@ def assemble(block_plus, block_minus) -> Feature:
 
 
 # --- mixture ------------------------------------------------------------------
+
+
+def logsumexp_row(v) -> float:
+    """``scipy.special.logsumexp(v)`` of a 1-d array, by scipy 1.17's own arithmetic."""
+    top = v.max()
+    ties = v == top
+    m = float(np.count_nonzero(ties))
+    rest = np.exp(v - top)
+    rest[ties] = 0.0
+    out = np.log1p(rest.sum() / m) + np.log(m) + top
+    return out if np.isfinite(out) else np.log(np.exp(v).sum())
+
+
+def responsibilities(x, params, posterior_floor):
+    """Posterior component probabilities of one vector ``x``."""
+    log_a = _gmm_log_joint_terms(x, params)
+    a = np.exp(log_a - logsumexp_row(log_a))
+    a = np.maximum(a, posterior_floor)
+    return a / a.sum()
 
 
 def sample_z(a, rng):
@@ -115,6 +135,51 @@ def feature_block_hmm(x, q, transition_post, n_symbols):
     )
 
 
+def forward_backward(x, params, prob_floor):
+    """Scaled forward-backward pass over one sequence."""
+    x = _check_tokens(x, params.n_symbols)
+    L, M = x.size, params.n_states
+    emit = params.emission[:, x]  # (M, L)
+
+    alphas = np.empty((L, M))
+    scales = np.empty(L)
+    alphas[0] = params.initial * emit[:, 0]
+    scales[0] = alphas[0].sum()
+    alphas[0] /= scales[0]
+    for t in range(1, L):
+        alphas[t] = (alphas[t - 1] @ params.transition) * emit[:, t]
+        scales[t] = alphas[t].sum()
+        alphas[t] /= scales[t]
+
+    betas = np.empty((L, M))
+    betas[L - 1] = 1.0
+    for t in range(L - 2, -1, -1):
+        betas[t] = params.transition @ (emit[:, t + 1] * betas[t + 1]) / scales[t + 1]
+
+    gamma = alphas * betas
+    xi = (
+        alphas[:-1, :, None]
+        * params.transition
+        * (emit[:, 1:].T * betas[1:])[:, None, :]
+        / scales[1:, None, None]
+    )
+
+    counts = xi.sum(axis=0) if L > 1 else np.zeros((M, M))
+    row_mass = counts.sum(axis=1)
+    a_post = np.full((M, M), 1.0 / M)
+    occupied = row_mass > 0.0
+    a_post[occupied] = counts[occupied] / row_mass[occupied, None]
+    a_post = _floor_rows(a_post, prob_floor)
+
+    return HmmPosterior(
+        gamma=gamma,
+        xi=xi,
+        transition_post=a_post,
+        alphas=alphas,
+        log_likelihood=float(np.log(scales).sum()),
+    )
+
+
 def xi_loop(x, params):
     """The pairwise marginals of forward_backward, one time step at a time."""
     x = np.asarray(x, dtype=int)
@@ -153,7 +218,15 @@ def joint_log_density_hmm(x, q, params) -> float:
     return float(total)
 
 
-# --- one draw through either backend ----------------------------------------------
+# --- one input or one draw through either backend ----------------------------------
+
+
+def approx_posterior(backend, x):
+    if isinstance(backend, GmmBackend):
+        return responsibilities(x, backend.params, backend.posterior_floor)
+    assert isinstance(backend, HmmBackend)
+    return forward_backward(x, backend.params, backend.prob_floor)
+
 
 
 def sample_hidden(backend, x, posterior, rng):
@@ -185,8 +258,8 @@ def tilt_exponent(feature, y, u, cfg) -> float:
 
 
 def rejection_sample(x, y, backend_plus, backend_minus, u, cfg, rng) -> HiddenSampleSet:
-    post_plus = backend_plus.approx_posterior(x)
-    post_minus = backend_minus.approx_posterior(x)
+    post_plus = approx_posterior(backend_plus, x)
+    post_minus = approx_posterior(backend_minus, x)
     accepted = []
     best = []
     attempts = 0
@@ -218,8 +291,8 @@ def rejection_sample(x, y, backend_plus, backend_minus, u, cfg, rng) -> HiddenSa
 
 
 def vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized=True):
-    post_plus = backend_plus.approx_posterior(x)
-    post_minus = backend_minus.approx_posterior(x)
+    post_plus = approx_posterior(backend_plus, x)
+    post_minus = approx_posterior(backend_minus, x)
     votes = []
     for _ in range(n):
         h_plus = sample_hidden(backend_plus, x, post_plus, rng)

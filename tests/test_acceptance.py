@@ -235,8 +235,8 @@ class TestCriterion7EndToEnd:
 
         def lr(s):
             return (
-                forward_backward(s, gen_pos).log_likelihood
-                - forward_backward(s, gen_neg).log_likelihood
+                forward_backward([s], gen_pos)[0].log_likelihood
+                - forward_backward([s], gen_neg)[0].log_likelihood
             )
 
         oracle_acc = 0.5 * (np.mean([lr(s) > 0 for s in te_p]) + np.mean([lr(s) < 0 for s in te_m]))

@@ -122,6 +122,19 @@ class TestConfig:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["7", "-7"])
+    def test_label_column_outside_row_names_key_and_line(self, tmp_path, capsys, column):
+        data = tmp_path / "d.csv"
+        data.write_text("0.5,1.5,pos\n-0.5,-1.5,neg\n")
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path}",
+            "--set", f"data.label_column={column}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data.label_column={column}" in err
+        assert "line 1" in err
+
 
 class TestModelIo:
     def test_round_trip_gmm(self, tmp_path):

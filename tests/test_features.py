@@ -31,8 +31,8 @@ class TestAssemble:
             variance_floor=np.array([1e-8]),
         )
         x = np.array([2.0])
-        a = backend.approx_posterior(x)
-        (block,) = backend.feature_block(x, np.array([[1.0]]), a)
+        a = backend.approx_posterior([x])
+        (block,) = backend.feature_block([x], np.array([[1.0]]), a)
         assert block == pytest.approx([2.0, 4.0, 1.0, 0.0])
 
     def test_nan_block_rejected(self):

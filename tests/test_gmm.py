@@ -26,30 +26,30 @@ def make_params(weights, means, variances):
 class TestResponsibilities:
     def test_single_component(self):
         p = make_params([1.0], [[0.0]], [[1.0]])
-        assert responsibilities(np.array([3.0]), p) == pytest.approx([1.0])
+        assert responsibilities([np.array([3.0])], p)[0] == pytest.approx([1.0])
 
     def test_symmetric_components(self):
         p = make_params([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-        a = responsibilities(np.array([0.0]), p)
+        a = responsibilities([np.array([0.0])], p)[0]
         assert a == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_hand_computed_ratio(self):
         # at x=0 the密 ratio is e^0 : e^-8; oracle evaluated directly
         p = make_params([0.5, 0.5], [[0.0], [4.0]], [[1.0], [1.0]])
-        a = responsibilities(np.array([0.0]), p)
+        a = responsibilities([np.array([0.0])], p)[0]
         oracle = 1.0 / (1.0 + np.exp(-8.0))
         assert a[0] == pytest.approx(oracle, abs=1e-9)
         assert a[1] == pytest.approx(1.0 - oracle, abs=1e-9)
 
     def test_simplex_and_floor(self):
         p = make_params([0.99, 0.01], [[0.0], [100.0]], [[1.0], [1.0]])
-        a = responsibilities(np.array([0.0]), p)
+        a = responsibilities([np.array([0.0])], p)[0]
         assert a.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(a >= 0.99e-12)
 
     def test_log_space_handles_huge_distances(self):
         p = make_params([0.5, 0.5], [[0.0], [100.0]], [[1.0], [1.0]])
-        a = responsibilities(np.array([100.0]), p)  # squared distance 1e4
+        a = responsibilities([np.array([100.0])], p)[0]  # squared distance 1e4
         assert np.all(np.isfinite(a))
         assert a.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -57,30 +57,30 @@ class TestResponsibilities:
 class TestSampleZ:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        for z in sample_z(np.array([1.0, 0.0, 0.0, 0.0]), rng.random(20)):
+        for z in sample_z(np.array([[1.0, 0.0, 0.0, 0.0]]), rng.random(20)):
             assert z == pytest.approx([1, 0, 0, 0])
 
     def test_two_component_frequency(self):
         rng = np.random.default_rng(1)
         a = np.array([0.5, 0.5])
-        draws = sample_z(a, rng.random(100_000))
+        draws = sample_z(a[None], rng.random(100_000))
         assert draws[:, 0].mean() == pytest.approx(0.5, abs=0.01)
 
     def test_three_component_frequencies(self):
         rng = np.random.default_rng(2)
         a = np.array([0.2, 0.3, 0.5])
-        counts = sample_z(a, rng.random(100_000)).sum(axis=0)
+        counts = sample_z(a[None], rng.random(100_000)).sum(axis=0)
         assert counts / counts.sum() == pytest.approx(a, abs=0.01)
 
 
 class TestFeatureBlock:
     def test_direct_substitution_single(self):
-        (block,) = feature_block_gmm(np.array([2.0]), np.array([[1.0]]), np.array([1.0]))
+        (block,) = feature_block_gmm([np.array([2.0])], np.array([[1.0]]), np.array([[1.0]]))
         assert block == pytest.approx([2.0, 4.0, 1.0, 0.0])
 
     def test_direct_substitution_two_components(self):
         (block,) = feature_block_gmm(
-            np.array([-1.0]), np.array([[0.0, 1.0]]), np.array([0.5, 0.5])
+            [np.array([-1.0])], np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]])
         )
         assert block == pytest.approx([0, 0, 0, 0, -1.0, 1.0, 1.0, np.log(0.5)])
 
@@ -89,7 +89,7 @@ class TestFeatureBlock:
         x = rng.normal(size=3)
         a = np.array([0.2, 0.5, 0.3])
         z = np.array([0.0, 1.0, 0.0])
-        block = feature_block_gmm(x, z[None], a).reshape(3, -1)
+        block = feature_block_gmm([x], z[None], a[None]).reshape(3, -1)
         assert np.all(block[0] == 0.0)
         assert np.all(block[2] == 0.0)
 
@@ -100,7 +100,7 @@ class TestFeatureBlock:
         a = np.full(K, 1.0 / K)
         z = np.zeros(K)
         z[0] = 1.0
-        assert feature_block_gmm(x, z[None], a).shape == (1, K * (2 * d + 2))
+        assert feature_block_gmm([x], z[None], a[None]).shape == (1, K * (2 * d + 2))
 
 
 class TestJointLogDensity:
@@ -159,7 +159,7 @@ class TestMStep:
         for _ in range(200):
             k = rng.choice(2, p=true.weights)
             x = rng.normal(true.means[k, 0], 1.0, size=1)
-            a = responsibilities(x, true)
+            a = responsibilities([x], true)
             zs.append(sample_z(a, rng.random(1))[0])
             xs.append(x)
         prev = make_params([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
@@ -191,8 +191,8 @@ class TestMonteCarloEm:
             for _ in range(n_iters):
                 samples = []
                 for x in data:
-                    a = backend.approx_posterior(x)
-                    zs = backend.sample_hidden(x, a, srng.random((n_draws, 1)))
+                    a = backend.approx_posterior([x])
+                    zs = backend.sample_hidden([x], a, srng.random((n_draws, 1)))
                     samples.extend((x, z, 1.0) for z in zs)
                 backend.update_parameters(samples)
                 curve.append(marginal_log_likelihood_gmm(backend.params, data))
@@ -223,10 +223,10 @@ class TestBackend:
         backend = GmmBackend.from_data(data, 2, np.random.default_rng(4))
         w = backend.natural_weights()
         x = rng.normal(size=2)
-        a = backend.approx_posterior(x)
+        (a,) = backend.approx_posterior([x])
         for k in range(2):
             z = np.zeros(2)
             z[k] = 1.0
-            (block,) = backend.feature_block(x, z[None], a)
+            (block,) = backend.feature_block([x], z[None], a[None])
             expected = joint_log_density_gmm(x, z, backend.params) - np.log(a[k])
             assert float(w @ block) == pytest.approx(expected, rel=1e-10)

@@ -31,13 +31,13 @@ class TestForwardBackward:
             transition=np.array([[1.0]]),
             emission=np.array([[0.3, 0.7]]),
         )
-        post = forward_backward(np.array([0, 1, 1]), p)
+        post = forward_backward([np.array([0, 1, 1])], p)[0]
         assert post.gamma == pytest.approx(np.ones((3, 1)))
         assert post.transition_post == pytest.approx(np.array([[1.0]]))
 
     def test_single_observation_posterior(self):
         p = random_params(2, 3, np.random.default_rng(0))
-        post = forward_backward(np.array([1]), p)
+        post = forward_backward([np.array([1])], p)[0]
         oracle = p.initial * p.emission[:, 1]
         assert post.gamma[0] == pytest.approx(oracle / oracle.sum(), abs=1e-12)
         assert post.xi.shape == (0, 2, 2)
@@ -48,7 +48,7 @@ class TestForwardBackward:
         x = np.array([0, 2, 1])
         joint = enumerate_hmm_joint(x, p)
         lik = sum(joint.values())
-        post = forward_backward(x, p)
+        post = forward_backward([x], p)[0]
         for t in range(3):
             for i in range(2):
                 oracle = sum(v for q, v in joint.items() if q[t] == i) / lik
@@ -60,7 +60,7 @@ class TestForwardBackward:
         x = np.array([0, 1, 1, 0])
         joint = enumerate_hmm_joint(x, p)
         lik = sum(joint.values())
-        post = forward_backward(x, p)
+        post = forward_backward([x], p)[0]
         for t in range(3):
             for i in range(2):
                 for j in range(2):
@@ -75,11 +75,11 @@ class TestForwardBackward:
         p = random_params(m, 3, rng)
         x = rng.integers(0, 3, size=T)
         oracle = np.log(sum(enumerate_hmm_joint(x, p).values()))
-        assert forward_backward(x, p).log_likelihood == pytest.approx(oracle, abs=1e-10)
+        assert forward_backward([x], p)[0].log_likelihood == pytest.approx(oracle, abs=1e-10)
 
     def test_rows_normalized(self):
         p = random_params(3, 4, np.random.default_rng(4))
-        post = forward_backward(np.array([0, 1, 2, 3, 1]), p)
+        post = forward_backward([np.array([0, 1, 2, 3, 1])], p)[0]
         assert post.gamma.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-8)
         assert post.xi.reshape(4, -1).sum(axis=1) == pytest.approx(np.ones(4), abs=1e-8)
         assert post.transition_post.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-10)
@@ -87,7 +87,7 @@ class TestForwardBackward:
     def test_unknown_token_rejected(self):
         p = random_params(2, 2, np.random.default_rng(5))
         with pytest.raises(InvalidSequenceError):
-            forward_backward(np.array([0, 5]), p)
+            forward_backward([np.array([0, 5])], p)[0]
 
 
 class TestSamplePath:
@@ -98,17 +98,17 @@ class TestSamplePath:
             emission=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
         x = np.array([0, 1, 0, 1])
-        post = forward_backward(x, p, prob_floor=0.0)
+        post = forward_backward([x], p, prob_floor=0.0)[0]
         rng = np.random.default_rng(0)
-        for q in sample_paths(p, post, rng.random((10, x.size))):
+        for q in sample_paths(p, [post], rng.random((10, x.size))):
             assert q.tolist() == [0, 1, 0, 1]
 
     def test_marginals_match_gamma(self):
         rng = np.random.default_rng(1)
         p = random_params(2, 2, rng)
         x = np.array([0, 1])
-        post = forward_backward(x, p)
-        paths = sample_paths(p, post, rng.random((100_000, x.size)))
+        post = forward_backward([x], p)[0]
+        paths = sample_paths(p, [post], rng.random((100_000, x.size)))
         counts = np.stack([np.bincount(paths[:, t], minlength=2) for t in range(2)])
         assert counts / 100_000 == pytest.approx(post.gamma, abs=0.01)
 
@@ -118,7 +118,7 @@ class TestSamplePath:
         x = np.array([0, 2, 1])
         joint = enumerate_hmm_joint(x, p)
         lik = sum(joint.values())
-        paths = sample_paths(p, forward_backward(x, p), rng.random((100_000, x.size)))
+        paths = sample_paths(p, forward_backward([x], p), rng.random((100_000, x.size)))
         tv = tv_distance({q: j / lik for q, j in joint.items()}, [tuple(q) for q in paths])
         assert tv < 0.02
 
@@ -127,21 +127,23 @@ class TestFeatureBlock:
     def test_three_token_single_state(self):
         x = np.array([0, 1, 1])
         q = np.array([0, 0, 0])
-        (block,) = feature_block_hmm(x, q[None], np.array([[1.0]]), n_symbols=2)
+        (block,) = feature_block_hmm(x[None], q[None], np.array([[[1.0]]]), n_symbols=2)
         assert block == pytest.approx([1.0, 2.0, 0.0, 1.0, 2.0])
 
     def test_shortest_sequence(self):
         x = np.array([0, 0])
         q = np.array([0, 0])
-        (block,) = feature_block_hmm(x, q[None], np.array([[1.0]]), n_symbols=2)
+        (block,) = feature_block_hmm(x[None], q[None], np.array([[[1.0]]]), n_symbols=2)
         assert block == pytest.approx([1.0, 1.0, 0.0, 2.0, 0.0])
 
     def test_counts_scale_with_length(self):
         a_post = np.full((2, 2), 0.5)
         x1 = np.array([0, 1, 0, 1])
         q1 = np.array([0, 1, 0, 1])
-        (b1,) = feature_block_hmm(x1, q1[None], a_post, n_symbols=2)
-        (b2,) = feature_block_hmm(np.tile(x1, 2), np.tile(q1, 2)[None], a_post, n_symbols=2)
+        (b1,) = feature_block_hmm(x1[None], q1[None], a_post[None], n_symbols=2)
+        (b2,) = feature_block_hmm(
+            np.tile(x1, 2)[None], np.tile(q1, 2)[None], a_post[None], n_symbols=2
+        )
         # doubling the sequence doubles every count group except the
         # initial-state indicator; the concatenation adds one extra 1->0
         # transition, so compare emission counts which double exactly
@@ -154,9 +156,9 @@ class TestFeatureBlock:
         rng = np.random.default_rng(3)
         bp, _ = tiny_hmm_pair()
         x = rng.integers(0, 3, size=7)
-        post = bp.approx_posterior(x)
-        q = bp.sample_hidden(x, post, rng.random((1, x.size)))
-        (block,) = bp.feature_block(x, q, post)
+        post = bp.approx_posterior([x])
+        q = bp.sample_hidden([x], post, rng.random((1, x.size)))
+        (block,) = bp.feature_block([x], q, post)
         m, k = 2, 3
         assert block.shape == (m + 2 * m * m + m * k,)
         init = block[:m]
@@ -233,7 +235,7 @@ class TestMStep:
         samples = []
         for _ in range(500):
             x = sample_hmm_sequence(true, 12, rng)
-            post = forward_backward(x, true)
+            post = forward_backward([x], true)
             samples.append((x, sample_paths(true, post, rng.random((1, x.size)))[0], 1.0))
         prev = random_params(2, 2, np.random.default_rng(9))
         new = m_step_hmm(samples, prev, prob_floor=1e-8)
@@ -270,10 +272,10 @@ class TestBackend:
         backend, _ = tiny_hmm_pair()
         w = backend.natural_weights()
         x = rng.integers(0, 3, size=6)
-        post = backend.approx_posterior(x)
+        post = backend.approx_posterior([x])
         for _ in range(5):
-            (q,) = backend.sample_hidden(x, post, rng.random((1, x.size)))
-            (block,) = backend.feature_block(x, q[None], post)
-            trans_logq = np.log(post.transition_post)[q[:-1], q[1:]].sum()
+            (q,) = backend.sample_hidden([x], post, rng.random((1, x.size)))
+            (block,) = backend.feature_block([x], q[None], post)
+            trans_logq = np.log(post[0].transition_post)[q[:-1], q[1:]].sum()
             expected = joint_log_density_hmm(x, q, backend.params) - trans_logq
             assert float(w @ block) == pytest.approx(expected, rel=1e-10)

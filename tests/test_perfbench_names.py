@@ -3,7 +3,8 @@
 perfbench wraps functions where their callers look them up, so renaming
 or bypassing one fails a benchmark run.  This test runs a short traced
 ``train`` and ``predict`` through ``perfbench/child.py`` in fresh
-interpreters and checks that every span of a vector workload fired.
+interpreters and checks that every span of a vector or a sequence
+workload fired.
 """
 
 import importlib.util
@@ -45,23 +46,47 @@ def run_traced(tmp_path: Path, trace: str, command: list[str], *settings: str) -
     return json.loads((tmp_path / trace).read_text())
 
 
-def test_every_traced_span_fires_on_vector_train_and_predict(tmp_path):
+def write_sequences(path: Path, rng: np.random.Generator, per_class: int):
+    rows = []
+    for label, letters in (("a", "AB"), ("b", "CD")):
+        for length in rng.integers(8, 13, size=per_class):
+            rows.append(f"{label}," + "".join(rng.choice(list(letters), size=length)))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def assert_every_span_fires(tmp_path: Path, kind: str, *settings: str):
+    """Traced ``train`` on train.csv, then ``predict`` on test.csv."""
     layers = load_layers()
-    rng = np.random.default_rng(0)
-    write_vectors(tmp_path / "train.csv", rng, 15)
-    write_vectors(tmp_path / "test.csv", rng, 5)
     train = run_traced(
-        tmp_path, "train.json", ["train"],
-        "data.path=train.csv", "trainer.restarts=1", "trainer.max_outer_iters=2",
+        tmp_path, "train.json", ["train"], "data.path=train.csv",
+        "trainer.restarts=1", "trainer.max_outer_iters=2", *settings,
     )
     predict = run_traced(
-        tmp_path, "predict.json", ["predict", "--model", "out/model.bin"], "data.path=test.csv"
+        tmp_path, "predict.json", ["predict", "--model", "out/model.bin"],
+        "data.path=test.csv", *settings,
     )
     merged = layers.merge([train, predict])
     missing = sorted(
         name
-        for name in layers.expected_spans("vector", False)
+        for name in layers.expected_spans(kind, False)
         if not merged["spans"].get(name, {}).get("calls")
     )
     missing += [c for c in layers.COUNTERS if not merged["counts"].get(c)]
     assert missing == []
+
+
+def test_every_traced_span_fires_on_vector_train_and_predict(tmp_path):
+    rng = np.random.default_rng(0)
+    write_vectors(tmp_path / "train.csv", rng, 15)
+    write_vectors(tmp_path / "test.csv", rng, 5)
+    assert_every_span_fires(tmp_path, "vector")
+
+
+def test_every_traced_span_fires_on_sequence_train_and_predict(tmp_path):
+    rng = np.random.default_rng(1)
+    write_sequences(tmp_path / "train.csv", rng, 10)
+    write_sequences(tmp_path / "test.csv", rng, 4)
+    assert_every_span_fires(
+        tmp_path, "sequence", "run.backend=hmm", "hmm.states=2", "hmm.symbols=0",
+        "data.alphabet=ABCD",
+    )

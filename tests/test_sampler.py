@@ -87,7 +87,7 @@ class TestRejectionSampler:
         out = rejection_sample(x, 1, bp, bm, np.zeros(2 * bp.block_dim() + 1), cfg, rng)
         assert out.acceptance_rate == 1.0
         assert not out.degraded
-        a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
+        (a_p,), (a_m,) = bp.approx_posterior([x]), bm.approx_posterior([x])
         freq = np.zeros((2, 2))
         np.add.at(freq, (np.argmax(out.h_plus, axis=1), np.argmax(out.h_minus, axis=1)), 1)
         freq /= freq.sum()

@@ -1,8 +1,10 @@
-"""Stacked draws against the per-draw loops they replaced, bit for bit.
+"""Stacked posteriors and draws against the per-input loops they replaced, bit for bit.
 
-The sampler and the predictor draw a chunk of hidden pairs from one block
-of uniforms.  They must return the same bits as the loops in
-``reference_draws`` and leave the generator in the same state.
+The backends compute the posteriors of many inputs at once; the sampler
+and the predictor draw a chunk of hidden pairs from one block of
+uniforms, and the predictor handles many inputs in one stack.  They must
+return the same bits as the loops in ``reference_draws`` and leave the
+generator in the same state.
 """
 
 import dataclasses
@@ -12,10 +14,14 @@ import pytest
 from scipy.special import logsumexp
 
 import reference_draws as ref
+from pacgibbs import predictor
+from pacgibbs.cli import _format_float, main
 from pacgibbs.gmm import GmmBackend, GmmParams, _logsumexp
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward, sample_paths
-from pacgibbs.predictor import vote_scores
+from pacgibbs.modelio import save_model
+from pacgibbs.predictor import evaluate, predict, vote_scores
 from pacgibbs.sampler import HiddenSampleSet, TiltConfig, rejection_sample
+from pacgibbs.trainer import TrainedTask, _sample_sets, derive_rng
 
 HMM_STATES = (2, 5, 7, 8, 10, 16)
 
@@ -43,15 +49,19 @@ def bits(value) -> bytes:
     return arr.dtype.str.encode() + repr(arr.shape).encode() + arr.tobytes()
 
 
+def assert_same_fields(new, old, names):
+    for name in names:
+        value, expected = getattr(new, name), getattr(old, name)
+        assert type(value) is type(expected), name
+        assert bits(value) == bits(expected), name
+
+
 def sample_both(seed, x, y, bp, bm, u, cfg):
     """The package's set, after checking it and the stream against the loop's."""
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     new = rejection_sample(x, y, bp, bm, u, cfg, rng_new)
     old = ref.rejection_sample(x, y, bp, bm, u, cfg, rng_old)
-    for field in dataclasses.fields(HiddenSampleSet):
-        value, expected = getattr(new, field.name), getattr(old, field.name)
-        assert type(value) is type(expected), field.name
-        assert bits(value) == bits(expected), field.name
+    assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
     assert rng_new.random() == rng_old.random()
     return new
 
@@ -130,7 +140,7 @@ class TestPredictorMatchesLoop:
             u = rng.normal(size=bp.block_dim() + bm.block_dim() + 1)
             n, normalized = 1 + i % 8, bool(i % 3)
             rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
-            new = vote_scores(x, bp, bm, u, n, rng_new, normalized)
+            (new,) = vote_scores([x], bp, bm, u, n, rng_new, normalized).tolist()
             old = ref.vote_scores(x, bp, bm, u, n, rng_old, normalized)
             assert [v.hex() for v in new] == [v.hex() for v in old]
             assert rng_new.random() == rng_old.random()
@@ -165,9 +175,12 @@ def boundary_uniforms(params, posterior, k, rng):
     return uniforms
 
 
-def assert_paths_match_loop(params, x, post, uniforms):
-    paths = sample_paths(params, post, uniforms)
-    for q, row in zip(paths, uniforms):
+def assert_paths_match_loop(params, xs, posts, uniforms):
+    """One stacked call on every sequence's block of uniforms against the loop."""
+    paths = sample_paths(params, posts, np.concatenate(uniforms))
+    rows = (row for block in uniforms for row in block)
+    for i, (q, row) in enumerate(zip(paths, rows)):
+        x, post = xs[i // len(uniforms[0])], posts[i // len(uniforms[0])]
         assert bits(q) == bits(ref.sample_path(x, params, post, _Stream(row)))
 
 
@@ -179,10 +192,13 @@ class TestPathsMatchLoop:
         rng = np.random.default_rng(74 + M)
         for L in (1, 2, 5, 30):
             params = random_hmm_params(M, 4, rng)
-            x = rng.integers(0, 4, size=L)
-            post = forward_backward(x, params)
-            for uniforms in (rng.random((8, L)), boundary_uniforms(params, post, 40, rng)):
-                assert_paths_match_loop(params, x, post, uniforms)
+            for count in (1, 3):  # one sequence, and a stack of three
+                xs = [rng.integers(0, 4, size=L) for _ in range(count)]
+                posts = forward_backward(xs, params)
+                uniforms = [rng.random((8, L)) for _ in xs]
+                assert_paths_match_loop(params, xs, posts, uniforms)
+                uniforms = [boundary_uniforms(params, post, 40, rng) for post in posts]
+                assert_paths_match_loop(params, xs, posts, uniforms)
 
     @pytest.mark.parametrize("M", (10, 130))
     def test_thousand_row_stack(self, M):
@@ -190,9 +206,9 @@ class TestPathsMatchLoop:
         L = 12
         params = random_hmm_params(M, 4, rng)
         x = rng.integers(0, 4, size=L)
-        post = forward_backward(x, params)
-        for uniforms in (rng.random((1200, L)), boundary_uniforms(params, post, 1200, rng)):
-            assert_paths_match_loop(params, x, post, uniforms)
+        posts = forward_backward([x], params)
+        for uniforms in (rng.random((1200, L)), boundary_uniforms(params, posts[0], 1200, rng)):
+            assert_paths_match_loop(params, [x], posts, [uniforms])
 
 
 class TestForwardBackwardXi:
@@ -202,7 +218,7 @@ class TestForwardBackwardXi:
             M, L = int(rng.integers(1, 12)), (1, 2, 3, int(rng.integers(4, 60)))[i % 4]
             params = random_hmm_params(M, 5, rng)
             x = rng.integers(0, 5, size=L)
-            xi = forward_backward(x, params).xi
+            xi = forward_backward([x], params)[0].xi
             assert xi.shape == (L - 1, M, M)
             assert bits(xi) == bits(ref.xi_loop(x, params))
 
@@ -210,10 +226,232 @@ class TestForwardBackwardXi:
 class TestLogSumExp:
     def test_matches_scipy_bit_for_bit(self):
         rng = np.random.default_rng(76)
-        for i in range(4000):
-            n = 1 + i % 12
-            v = rng.normal(size=n) * rng.choice([0.1, 5.0, 300.0])
-            if i % 3 == 0:  # ties at the maximum, and repeated values below it
-                v[rng.integers(n, size=n // 2 + 1)] = v.max()
-                v[rng.integers(n, size=n // 3)] = v.min()
-            assert _logsumexp(v).hex() == float(logsumexp(v)).hex()
+        for n in range(1, 13):
+            v = rng.normal(size=(400, n)) * rng.choice([0.1, 5.0, 300.0], size=(400, 1))
+            for row in v[::3]:  # ties at the maximum, and repeated values below it
+                row[rng.integers(n, size=n // 2 + 1)] = row.max()
+                row[rng.integers(n, size=n // 3)] = row.min()
+            got = _logsumexp(v)
+            assert [x.hex() for x in got.tolist()] == [float(logsumexp(r)).hex() for r in v]
+
+    def test_non_finite_rows_take_the_fallback_row_by_row(self):
+        inf, nan = np.inf, np.nan
+        v = np.array(
+            [
+                [-inf, -inf, -inf],
+                [-inf, 0.5, -inf],
+                [inf, 1.0, -inf],
+                [inf, inf, 2.0],
+                [nan, 1.0, 2.0],
+                [3.0, 3.0, -inf],
+                [-2.0, 4.0, 4.0],
+            ]
+        )
+        with np.errstate(all="ignore"):
+            got = _logsumexp(v)
+            expected = [ref.logsumexp_row(row) for row in v]
+        assert bits(got) == bits(np.array(expected))
+
+
+def random_task(make_pair, rng, normalized=True):
+    _, bp, bm = make_pair(int(rng.integers(100)), rng)
+    dim = bp.block_dim() + bm.block_dim() + 1
+    return TrainedTask(
+        u0=np.zeros(dim),
+        u=rng.normal(size=dim),
+        C=1.0,
+        backend_plus=bp,
+        backend_minus=bm,
+        history=[],
+        predict_normalized=normalized,
+    )
+
+
+def gmm_inputs(task, count, rng):
+    return list(rng.normal(size=(count, task.backend_plus.params.dim)) * 2.0)
+
+
+def hmm_inputs(task, count, rng, lengths=(1, 2, 3, 7, 20)):
+    n_symbols = task.backend_plus.params.n_symbols
+    return [rng.integers(0, n_symbols, size=int(L)) for L in rng.choice(lengths, size=count)]
+
+
+def reference_predictions(xs, task, n, rng):
+    """(votes, score, label) of each input, predicted one at a time by the per-draw loop."""
+    out = []
+    for x in xs:
+        votes = ref.vote_scores(
+            x, task.backend_plus, task.backend_minus, task.u, n, rng, task.predict_normalized
+        )
+        score = float(np.mean(votes))
+        out.append((votes, score, 1 if score >= 0 else -1))
+    return out
+
+
+def assert_predictions_match(new, old):
+    assert len(new) == len(old)
+    for p, (votes, score, label) in zip(new, old):
+        assert [v.hex() for v in p.votes] == [v.hex() for v in votes]
+        assert p.score.hex() == score.hex()
+        assert p.label == label
+
+
+CASES = [(gmm_pair, gmm_inputs), (hmm_pair, hmm_inputs)]
+
+
+class TestFilePredictionMatchesLoop:
+    # 12 votes take numpy's eight-wide pairwise sum for the mean.
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_one_stack_equals_inputs_one_at_a_time(self, make_pair, make_inputs, n, normalized):
+        rng = np.random.default_rng(81 + n)
+        for trial in range(6):
+            task = random_task(make_pair, rng, normalized)
+            xs = make_inputs(task, 30, rng)
+            rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
+            new = predict(xs, task, n, rng_new)
+            assert_predictions_match(new, reference_predictions(xs, task, n, rng_old))
+            assert rng_new.random() == rng_old.random()
+
+    def test_mixed_lengths_include_length_one(self):
+        rng = np.random.default_rng(85)
+        task = random_task(hmm_pair, rng)
+        xs = hmm_inputs(task, 25, rng, lengths=(1, 4))
+        assert {len(x) for x in xs} == {1, 4}
+        new = predict(xs, task, 3, np.random.default_rng(0))
+        assert_predictions_match(new, reference_predictions(xs, task, 3, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_evaluate_crosses_block_boundaries(self, make_pair, make_inputs, monkeypatch):
+        monkeypatch.setattr(predictor, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(86)
+        task = random_task(make_pair, rng)
+        xs = make_inputs(task, 11, rng)
+        dataset = list(zip(xs, rng.choice([-1, 1], size=len(xs)).tolist()))
+        assert len(predictor.blocks(len(xs), 3)) == 6
+        rng_new, rng_old = np.random.default_rng(1), np.random.default_rng(1)
+        old = reference_predictions(xs, task, 3, rng_old)
+        expected = sum(label == y for (_, _, label), (_, y) in zip(old, dataset)) / len(xs)
+        assert evaluate(dataset, task, 3, rng_new) == expected
+        assert rng_new.random() == rng_old.random()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("kind", ["gmm", "hmm"])
+    def test_predict_command_crosses_block_boundaries(self, kind, n, tmp_path, monkeypatch):
+        """The predict command's rows equal the per-input loop's on a file
+        of more rows than one block holds, with the stream running on
+        across the blocks."""
+        monkeypatch.setattr(predictor, "BLOCK_ROWS", 5)
+        rng = np.random.default_rng(87 + n)
+        labels = rng.choice(["a", "b"], size=13).tolist()
+        if kind == "gmm":
+            task = random_task(gmm_pair, rng)
+            xs = gmm_inputs(task, 13, rng)
+            lines = [",".join(repr(float(v)) for v in x) + f",{y}" for x, y in zip(xs, labels)]
+            save_model(str(tmp_path / "m.bin"), task, "gmm")
+        else:
+            task = random_task(hmm_pair, rng)
+            alphabet = "ABCDEFG"[: task.backend_plus.params.n_symbols]
+            xs = hmm_inputs(task, 13, rng, lengths=(2, 3, 9))
+            lines = [f"{y}," + "".join(alphabet[t] for t in x) for x, y in zip(xs, labels)]
+            save_model(str(tmp_path / "m.bin"), task, "hmm", alphabet=alphabet)
+        assert len(predictor.blocks(len(xs), n)) > 2
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        settings = [f"data.path={tmp_path / 'data.csv'}", f"run.output_dir={tmp_path / 'out'}",
+                    f"predict.n={n}", "trainer.seed=17", f"run.backend={kind}"]
+        argv = ["predict", "--model", str(tmp_path / "m.bin")]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 0
+        old = reference_predictions(xs, task, n, derive_rng(17, 901))
+        expected = ["index,score,label"] + [
+            f"{i},{_format_float(score)},{label}" for i, (_, score, label) in enumerate(old)
+        ]
+        assert (tmp_path / "out" / "predictions.csv").read_text().splitlines() == expected
+
+
+POSTERIOR_FIELDS = ("alphas", "gamma", "xi", "transition_post", "log_likelihood")
+
+
+class TestStackedPosteriorsMatchLoop:
+    @pytest.mark.parametrize("M", (1, 2, 5, 8, 9, 17, 33))
+    def test_hmm_mixed_lengths(self, M):
+        rng = np.random.default_rng(88 + M)
+        for prob_floor in (1e-8, 0.0):
+            params = random_hmm_params(M, 6, rng)
+            lengths = rng.choice([1, 2, 3, 7, 30, 61], size=40)
+            xs = [rng.integers(0, 6, size=int(L)) for L in lengths]
+            posts = HmmBackend(params, prob_floor).approx_posterior(xs)
+            assert len(posts) == len(xs)
+            for x, post in zip(xs, posts):
+                old = ref.forward_backward(x, params, prob_floor)
+                assert_same_fields(post, old, POSTERIOR_FIELDS)
+
+    def test_hmm_unused_state_keeps_uniform_row(self):
+        """A state with no visit mass keeps its uniform posterior transition
+        row, in a stack as alone."""
+        params = HmmParams(
+            initial=np.array([1.0, 0.0, 0.0]),
+            transition=np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
+            emission=np.full((3, 2), 0.5),
+        )
+        xs = [np.array([0, 1, 1]), np.array([1, 0, 0]), np.array([0])]
+        for x, post in zip(xs, forward_backward(xs, params, prob_floor=0.0)):
+            assert_same_fields(post, ref.forward_backward(x, params, 0.0), POSTERIOR_FIELDS)
+            assert post.transition_post[2].tolist() == [1 / 3] * 3
+
+    @pytest.mark.parametrize("K,d", [(1, 1), (3, 2), (4, 9), (6, 20)])
+    def test_gmm_ties_and_non_finite_rows(self, K, d):
+        rng = np.random.default_rng(89 + K * d)
+        backend = random_gmm(K, d, rng)
+        p = backend.params
+        if K > 1:  # two identical components: every row has tied log terms
+            p.means[1], p.variances[1] = p.means[0], p.variances[0]
+            p.weights[:2] = p.weights[:2].mean()
+        X = rng.normal(size=(60, d)) * 2.0
+        X[::7] = p.means[0]  # a tie at the maximum
+        X[3::11] = 1e200  # every log term -inf: the logsumexp fallback
+        X[5::13, 0] = 1e170  # far from every component
+        with np.errstate(all="ignore"):
+            got = backend.approx_posterior(list(X))
+            expected = [ref.responsibilities(x, p, backend.posterior_floor) for x in X]
+        assert got.shape == (60, K)
+        for row, old in zip(got, expected):
+            assert bits(row) == bits(old)
+        if K > 1:
+            assert np.isnan(got[3]).all()
+
+
+def pass_examples(make_pair, make_inputs, m_l, m_u, rng):
+    task = random_task(make_pair, rng)
+    xs = make_inputs(task, m_l + m_u, rng)
+    labels = rng.choice([-1, 1], size=m_l).tolist()
+    return list(zip(xs[:m_l], labels)), xs[m_l:], task
+
+
+class TestSamplingPassMatchesLoop:
+    @pytest.mark.parametrize("m_u", [0, 6])
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_pass_equals_examples_one_at_a_time(self, make_pair, make_inputs, m_u):
+        """One stacked posterior call per backend and pass, each example's
+        sampler on its slice: the same sets as each example alone, with
+        some examples falling back to the degraded path."""
+        rng = np.random.default_rng(90 + m_u)
+        degraded = total = 0
+        for trial in range(4):
+            S_l, S_u, task = pass_examples(make_pair, make_inputs, 14, m_u, rng)
+            bp, bm = task.backend_plus, task.backend_minus
+            cfg = TiltConfig(C=(4.0, 60.0)[trial % 2], m=14 + m_u, m_l=14, m_u=max(m_u, 1),
+                             n_draws=3, max_attempts=int(rng.integers(3, 10)))
+            u = task.u * 3.0
+            key = (1, trial)
+            sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, u, cfg, 5, *key)
+            assert (len(sets_l), len(sets_u)) == (14, m_u)
+            examples = S_l + [(x, None) for x in S_u]
+            for i, ((x, y), new) in enumerate(zip(examples, sets_l + sets_u)):
+                old = ref.rejection_sample(x, y, bp, bm, u, cfg, derive_rng(5, *key, i))
+                assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
+                degraded += new.degraded
+                total += 1
+        assert 0 < degraded < total

@@ -72,7 +72,7 @@ class TestInitU0:
         correct = 0
         rng = derive_rng(123, 55)
         for x, y in S_l:
-            s = np.mean(vote_scores(x, bp, bm, u0, 5, rng))
+            s = np.mean(vote_scores([x], bp, bm, u0, 5, rng))
             correct += (1 if s >= 0 else -1) == y
         assert correct / len(S_l) >= 0.9
 
@@ -89,11 +89,13 @@ class TestInitU0:
         rng = np.random.default_rng(99)
         feats, labels = [], []
         for x, y in S_l:
-            a_p, a_m = bp.approx_posterior(x), bm.approx_posterior(x)
+            a_p, a_m = bp.approx_posterior([x]), bm.approx_posterior([x])
             uniforms = rng.random((5, 2))  # per draw: z_plus's uniform, then z_minus's
-            zp = bp.sample_hidden(x, a_p, uniforms[:, :1])
-            zm = bm.sample_hidden(x, a_m, uniforms[:, 1:])
-            feats.append(assemble(bp.feature_block(x, zp, a_p), bm.feature_block(x, zm, a_m))[1])
+            zp = bp.sample_hidden([x], a_p, uniforms[:, :1])
+            zm = bm.sample_hidden([x], a_m, uniforms[:, 1:])
+            feats.append(
+                assemble(bp.feature_block([x], zp, a_p), bm.feature_block([x], zm, a_m))[1]
+            )
             labels.append(y)
         labeled = stack_features(feats, labels)
         unlabeled = stack_features([], shape=labeled.shape[1:])
