@@ -79,7 +79,6 @@ def _tilt_config(cfg: RunConfig, m_l: int, m_u: int) -> TiltConfig:
         m=m_l + m_u,
         m_l=max(m_l, 1),
         m_u=max(m_u, 1),
-        weight_scale=cfg["tilt.weight_scale"],
         n_draws=n,
         max_attempts=cfg["tilt.max_attempts_factor"] * n,
     )
@@ -202,7 +201,6 @@ def cmd_train(cfg: RunConfig) -> int:
     tcfg = _train_config(cfg)
     tilt = _tilt_config(cfg, len(S_l), len(S_u))
     task = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
-    task.predict_normalized = cfg["predict.normalized"]
 
     out_dir = cfg["run.output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -320,7 +318,6 @@ def _benchmark_unit(
     tcfg = _train_config(cfg, seed=unit_seed)
     tilt = _tilt_config(cfg, len(S_l), len(S_u))
     trained = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
-    trained.predict_normalized = cfg["predict.normalized"]
     test_pairs = list(zip(xs_test, [int(y) for y in y_test]))
     acc = evaluate(test_pairs, trained, cfg["predict.n"], derive_rng(unit_seed, 902))
     final = trained.history[-1]

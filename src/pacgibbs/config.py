@@ -42,11 +42,9 @@ DEFAULTS: dict[str, object] = {
     "trainer.c_update": "gradient",  # gradient | cross_validation | fixed
     "trainer.convergence_tol": 1e-4,
     "trainer.seed": 0,
-    "tilt.weight_scale": "per_example",  # per_example | m_squared
     "tilt.n_draws": 5,
     "tilt.max_attempts_factor": 200,
     "predict.n": 5,
-    "predict.normalized": True,
     "benchmark.learning_curve_sizes": "",  # comma-separated labeled-set sizes
 }
 
@@ -54,7 +52,6 @@ _ENUMS = {
     "run.backend": ("gmm", "hmm"),
     "run.mode": ("supervised", "semi"),
     "trainer.c_update": ("gradient", "cross_validation", "fixed"),
-    "tilt.weight_scale": ("per_example", "m_squared"),
 }
 
 _TRUE = ("1", "true", "yes", "on")
@@ -99,7 +96,7 @@ class RunConfig:
         for key, allowed in _ENUMS.items():
             if self.values[key] not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {self.values[key]!r}")
-        for key in ("gmm.components", "hmm.states"):
+        for key in ("gmm.components", "hmm.states", "predict.n"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {self.values[key]}")
         if require_data:

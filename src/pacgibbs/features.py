@@ -98,4 +98,4 @@ class GenerativeBackend(ABC):
 
     @abstractmethod
     def clone(self) -> "GenerativeBackend":
-        """Deep copy; restarts mutate their own copy."""
+        """Deep copy; each training run mutates its own copy."""

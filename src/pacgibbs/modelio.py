@@ -5,7 +5,8 @@ Layout (all multi-byte values little-endian, floats IEEE 754 binary64):
     magic            8 bytes  b"PACGIBBS"
     version          u32      currently 1
     backend_kind     u8       0 = gmm, 1 = hmm
-    predict_norm     u8       0/1
+    scoring flag     u8       always 1: votes score unit-normalized features;
+                              other values are rejected
     C, delta         2 x f64
     dim              u32
     u0, u            2 x f64[dim]
@@ -35,6 +36,7 @@ from .trainer import TrainedTask
 
 MAGIC = b"PACGIBBS"
 VERSION = 1
+SCORING_FLAG = 1
 _KINDS = {"gmm": 0, "hmm": 1}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 
@@ -84,7 +86,7 @@ def save_model(
         raise DataFormatError(f"unknown backend kind {backend_kind!r}")
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<IBB", VERSION, _KINDS[backend_kind], int(task.predict_normalized))
+    out += struct.pack("<IBB", VERSION, _KINDS[backend_kind], SCORING_FLAG)
     out += struct.pack("<dd", task.C, task.delta)
     out += struct.pack("<I", task.u.shape[0])
     out += _f64(task.u0)
@@ -164,11 +166,16 @@ def load_model(path: str) -> LoadedModel:
     r = _Reader(blob, path)
     if r.raw(8) != MAGIC:
         raise DataFormatError(f"{path} is not a pacgibbs model file")
-    version, kind_code, predict_norm = r.unpack("<IBB")
+    version, kind_code, flag = r.unpack("<IBB")
     if version != VERSION:
-        raise DataFormatError(f"unsupported model format version {version}")
+        raise DataFormatError(f"{path}: unsupported model format version {version}")
     if kind_code not in _KIND_NAMES:
-        raise DataFormatError(f"unknown backend code {kind_code}")
+        raise DataFormatError(f"{path}: unknown backend code {kind_code}")
+    if flag != SCORING_FLAG:
+        raise DataFormatError(
+            f"{path}: unsupported scoring flag {flag} (byte 13); "
+            f"only unit-normalized scoring ({SCORING_FLAG}) is supported"
+        )
     kind = _KIND_NAMES[kind_code]
     C, delta = r.unpack("<dd")
     (dim,) = r.unpack("<I")
@@ -201,7 +208,6 @@ def load_model(path: str) -> LoadedModel:
         backend_minus=bm,
         history=[],
         flags={},
-        predict_normalized=bool(predict_norm),
         delta=delta,
     )
     return LoadedModel(

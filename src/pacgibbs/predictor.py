@@ -1,8 +1,9 @@
 """Majority-vote classification of new examples.
 
 A prediction draws ``n`` hidden pairs from the untilted model posteriors,
-scores each realized feature with the trained weight mean, and thresholds
-the average at zero.  Ties (score exactly 0) resolve to +1; this is a
+scores each unit-normalized feature (the ``phi_bar`` that training and
+the bound use) with the trained weight mean, and thresholds the average
+at zero.  Ties (score exactly 0) resolve to +1; this is a
 fixed, documented convention and tests pin it.
 
 :func:`predict` handles a list of inputs at once.  Input ``i`` takes its
@@ -54,7 +55,6 @@ def vote_scores(
     u: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    normalized: bool = True,
 ) -> np.ndarray:
     """(len(xs), n) vote scores of the inputs ``xs``, row ``i`` for input ``i``."""
     if n < 1:
@@ -68,23 +68,15 @@ def vote_scores(
         group = [xs[i] for i in idx]
         posts = (backend_plus.approx_posterior(group), backend_minus.approx_posterior(group))
         uniforms = stream[starts[idx][:, None] + np.arange(n * width)].reshape(-1, width)
-        _, _, phi, phi_bar = propose(group, backend_plus, backend_minus, posts, uniforms)
-        votes[idx] = row_dots(u, phi_bar if normalized else phi).reshape(len(idx), n)
+        _, _, phi_bar = propose(group, backend_plus, backend_minus, posts, uniforms)
+        votes[idx] = row_dots(u, phi_bar).reshape(len(idx), n)
     return votes
 
 
 def predict(xs, task, n: int = 5, rng: np.random.Generator | None = None) -> list[Prediction]:
     """Majority-vote labels for the inputs ``xs`` under a trained task, in input order."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    votes = vote_scores(
-        xs,
-        task.backend_plus,
-        task.backend_minus,
-        task.u,
-        n,
-        rng,
-        normalized=task.predict_normalized,
-    )
+    votes = vote_scores(xs, task.backend_plus, task.backend_minus, task.u, n, rng)
     scores = votes.mean(axis=1).tolist()
     return [
         Prediction(label=1 if score >= 0 else -1, score=score, votes=tuple(row))

@@ -15,11 +15,11 @@ run, so the sampler consumes exactly the random numbers, in the same
 order, as a loop making one attempt at a time, and leaves the generator
 in the same state.
 
-Weight scale: the literal per-example weights grow like m^2/m_l, which
-drives acceptance probabilities to zero for any realistic training-set
-size; the default ``per_example`` scale normalizes the labeled and
-unlabeled weights to 1 and keeps the sampler usable.  The ``m_squared``
-scale retains the quadratic factors for small-set studies.
+Tilt weights: every labeled example is weighted by its expected
+misclassification and every unlabeled one by its expected disagreement,
+each with weight 1.  The literal per-example weights grow like m^2/m_l,
+which drives acceptance probabilities to zero for any realistic
+training-set size, so they are not offered.
 """
 
 from __future__ import annotations
@@ -33,29 +33,26 @@ from .errors import InvalidArgumentError
 from .features import GenerativeBackend, assemble, row_dots
 from .numerics import phi_tail
 
-WEIGHT_SCALES = ("per_example", "m_squared")
-
 
 @dataclass
 class TiltConfig:
     """Sampler settings: trade-off constant, set sizes, draw budget.
 
-    ``max_attempts`` defaults to 200 proposals per requested draw.
+    The set sizes ``m``, ``m_l`` and ``m_u`` are recorded only; the tilt
+    weights do not depend on them.  ``max_attempts`` defaults to 200
+    proposals per requested draw.
     """
 
     C: float
     m: int
     m_l: int
     m_u: int
-    weight_scale: str = "per_example"
     n_draws: int = 5
     max_attempts: int | None = None
 
     def __post_init__(self):
         if self.C < 0:
             raise InvalidArgumentError(f"C must be nonnegative, got {self.C}")
-        if self.weight_scale not in WEIGHT_SCALES:
-            raise InvalidArgumentError(f"unknown weight_scale {self.weight_scale!r}")
         if self.n_draws < 1:
             raise InvalidArgumentError("n_draws must be at least 1")
         if self.max_attempts is None:
@@ -91,7 +88,7 @@ def propose(
     backend_minus: GenerativeBackend,
     posts: tuple,
     uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k untilted proposals for each of the B inputs ``xs``, one per row of ``uniforms``.
 
     ``uniforms`` is (B*k, U_plus + U_minus), so the inputs must share
@@ -99,18 +96,18 @@ def propose(
     holds both models' posteriors of ``xs``.  Input ``i`` draws with rows
     ``i*k`` to ``(i+1)*k - 1``; each row's first U_plus uniforms draw the
     positive model's hidden configuration, the rest the negative model's.
-    Returns the stacked ``(h_plus, h_minus, phi, phi_bar)`` in the same
-    row order.
+    Returns the stacked ``(h_plus, h_minus, phi_bar)`` in the same row
+    order, ``phi_bar`` being the unit-normalized features.
     """
     post_plus, post_minus = posts
     n_plus = backend_plus.uniforms_per_draw(xs[0])
     h_plus = backend_plus.sample_hidden(xs, post_plus, uniforms[:, :n_plus])
     h_minus = backend_minus.sample_hidden(xs, post_minus, uniforms[:, n_plus:])
-    phi, phi_bar = assemble(
+    _, phi_bar = assemble(
         backend_plus.feature_block(xs, h_plus, post_plus),
         backend_minus.feature_block(xs, h_minus, post_minus),
     )
-    return h_plus, h_minus, phi, phi_bar
+    return h_plus, h_minus, phi_bar
 
 
 def tilt_exponents(
@@ -125,12 +122,7 @@ def tilt_exponents(
     if cfg.C == 0.0:
         return np.zeros(phi_bar.shape[0])
     a = row_dots(u, phi_bar)
-    if y is None:
-        coef = cfg.m**2 / cfg.m_u if cfg.weight_scale == "m_squared" else 1.0
-        weight = coef * phi_tail(a) * phi_tail(-a)
-    else:
-        coef = cfg.m**2 / cfg.m_l if cfg.weight_scale == "m_squared" else 1.0
-        weight = coef * phi_tail(y * a)
+    weight = phi_tail(a) * phi_tail(-a) if y is None else phi_tail(y * a)
     return -cfg.C * weight
 
 
@@ -166,7 +158,7 @@ def rejection_sample(
         # Each of these attempts runs whatever the earlier ones in the chunk decide.
         k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
         uniforms = rng.random((k, n_uniforms))
-        h_plus, h_minus, _, phi_bar = propose(
+        h_plus, h_minus, phi_bar = propose(
             xs, backend_plus, backend_minus, posts, uniforms[:, :-1]
         )
         exponents = tilt_exponents(phi_bar, y, u, cfg)

@@ -6,7 +6,8 @@ model from hidden draws of positive-labeled examples and the negative
 model from negative-labeled ones; (M2) take one gradient step on the
 weight-posterior mean ``u``; (M3) optionally step the trade-off
 constant ``C``.  The loop stops when the surrogate objective changes by
-less than ``convergence_tol`` for three consecutive iterations.
+less than ``convergence_tol`` for three consecutive iterations.  Each
+task is trained by one run of this loop.
 
 The prior mean ``u0`` is fit once, before the loop, on held-aside
 fractions of the data by minimizing the label risk plus half the
@@ -50,12 +51,12 @@ DEGRADED_ABORT_FRACTION = 0.2
 U0_MAX_ITERS = 300
 MAX_HALVINGS = 20
 
-# spawn_key namespaces for seed-derived random streams
+# spawn_key namespaces for seed-derived random streams; a value, once used,
+# keys its stream in every output, so retired values are not reused
 _PHASE_U0_SAMPLES = 0
 _PHASE_LOOP = 1
 _PHASE_U0_STARTS = 2
 _PHASE_FRACTIONS = 3
-_PHASE_INITIAL_U = 4
 _PHASE_CV = 5
 
 
@@ -71,8 +72,8 @@ class TrainConfig:
     gamma_u: float = 0.5
     gamma_c: float = 0.05
     max_outer_iters: int = 50
-    restarts: int = 10
-    init_range: float = 20.0
+    restarts: int = 10  # random starts of the prior-mean fit (init_u0)
+    init_range: float = 20.0  # half-width of the box they are drawn from
     u0_fraction: float = 0.5
     delta: float = 0.05
     C_init: float = 1.0
@@ -94,8 +95,9 @@ class TrainConfig:
             raise InvalidArgumentError("delta must lie in (0, 1]")
         if self.c_update not in C_UPDATE_MODES:
             raise InvalidArgumentError(f"unknown c_update mode {self.c_update!r}")
-        if self.restarts < 1 or self.max_outer_iters < 1:
-            raise InvalidArgumentError("restarts and max_outer_iters must be >= 1")
+        for name in ("restarts", "max_outer_iters"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -109,7 +111,6 @@ class TrainedTask:
     backend_minus: GenerativeBackend
     history: list[RiskReport]
     flags: dict = field(default_factory=dict)
-    predict_normalized: bool = True
     delta: float = 0.05
 
 
@@ -174,11 +175,13 @@ def init_u0(
     Hidden features are drawn once from the untilted model posteriors
     (C = 0 sampling); the objective is the surrogate without its
     quadratic term and without C-scaling.  Descent runs from
-    ``cfg.restarts`` random starts plus one model-based start (the
-    backends' natural weights, which realize the generative
-    discriminant in feature space -- random starts alone almost always
-    sit on the objective's saturated plateaus); the best final value
-    wins.  With ``max_iters`` = 0 that is the best start as-is.
+    ``cfg.restarts`` random starts, uniform in ``[-cfg.init_range,
+    cfg.init_range]^dim``, plus one model-based start (the backends'
+    natural weights, which realize the generative discriminant in
+    feature space -- random starts alone almost always sit on the
+    objective's saturated plateaus); the best final value wins.  With
+    ``max_iters`` = 0 that is the best start as-is.  These starts are
+    the only use of ``cfg.restarts`` and ``cfg.init_range``.
     """
     if not S_l_fraction:
         raise InvalidArgumentError("u0 initialization requires labeled examples")
@@ -384,32 +387,12 @@ def multi_restart_train(
     cfg: TrainConfig,
     tilt_cfg: TiltConfig | None = None,
 ) -> TrainedTask:
-    """Best of ``cfg.restarts`` runs by final surrogate value.
+    """One training run per task: :func:`train` from the fitted prior mean.
 
-    Restart 0 reproduces :func:`train` exactly (same seed, prior-mean
-    start); later restarts use shifted seeds and random initial weights.
-    Per-run aborts propagate only if every restart aborts.
+    A :class:`TrainingAbort` propagates with its own diagnostic.
     """
-    dim = backend_plus.block_dim() + backend_minus.block_dim() + 1
-    best: TrainedTask | None = None
-    failures: list[str] = []
-    for r in range(cfg.restarts):
-        cfg_r = replace(cfg, seed=cfg.seed + r)
-        initial_u = None
-        if r > 0:
-            initial_u = derive_rng(cfg_r.seed, _PHASE_INITIAL_U).uniform(
-                -cfg.init_range, cfg.init_range, dim
-            )
-        try:
-            task = train(S_l, S_u, backend_plus, backend_minus, cfg_r, tilt_cfg, initial_u)
-        except TrainingAbort as exc:
-            failures.append(f"restart {r}: {exc}")
-            continue
-        if best is None or task.history[-1].J < best.history[-1].J:
-            best = task
-    if best is None:
-        raise TrainingAbort("all restarts aborted:\n" + "\n".join(failures))
-    return best
+    # perfbench/tracing.py patches this name and trainer.train until ROADMAP item 5.
+    return train(S_l, S_u, backend_plus, backend_minus, cfg, tilt_cfg)
 
 
 def evaluate_bounds(

@@ -248,12 +248,7 @@ def tilt_exponent(feature, y, u, cfg) -> float:
     if cfg.C == 0.0:
         return 0.0
     a = float(u @ feature.phi_bar)
-    if y is None:
-        coef = cfg.m**2 / cfg.m_u if cfg.weight_scale == "m_squared" else 1.0
-        weight = coef * phi_tail(a) * phi_tail(-a)
-    else:
-        coef = cfg.m**2 / cfg.m_l if cfg.weight_scale == "m_squared" else 1.0
-        weight = coef * phi_tail(y * a)
+    weight = phi_tail(a) * phi_tail(-a) if y is None else phi_tail(y * a)
     return -cfg.C * weight
 
 
@@ -290,7 +285,7 @@ def rejection_sample(x, y, backend_plus, backend_minus, u, cfg, rng) -> HiddenSa
     return HiddenSampleSet(h_plus, h_minus, phi_bar, exponents, rate, degraded, attempts)
 
 
-def vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized=True):
+def vote_scores(x, backend_plus, backend_minus, u, n, rng):
     post_plus = approx_posterior(backend_plus, x)
     post_minus = approx_posterior(backend_minus, x)
     votes = []
@@ -301,5 +296,5 @@ def vote_scores(x, backend_plus, backend_minus, u, n, rng, normalized=True):
             feature_block(backend_plus, x, h_plus, post_plus),
             feature_block(backend_minus, x, h_minus, post_minus),
         )
-        votes.append(float(u @ (feature.phi_bar if normalized else feature.phi)))
+        votes.append(float(u @ feature.phi_bar))
     return votes

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pacgibbs import cli
 from pacgibbs.bounds import grad_C, grad_u
 from pacgibbs.cli import main
 from pacgibbs.config import load_config
@@ -84,10 +86,12 @@ class TestConfig:
         assert cfg["trainer.seed"] == 11
         assert cfg["run.mode"] == "semi"
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # tilt.weight_scale and predict.normalized are not options: a config setting them fails.
+    @pytest.mark.parametrize("key", ["trainer.bogus", "tilt.weight_scale", "predict.normalized"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         p = tmp_path / "run.cfg"
-        p.write_text("trainer.bogus = 1\n")
-        with pytest.raises(ConfigError, match="bogus"):
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"run.cfg:1: unknown config key {key!r}")):
             load_config(str(p))
 
     def test_bad_value_names_key(self):
@@ -121,6 +125,19 @@ class TestConfig:
         )
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_no_votes_rejected_before_training(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "multi_restart_train", lambda *a: pytest.fail("trained"))
+        data = write_vector_file(tmp_path / "d.csv")
+        out = tmp_path / "out"
+        code = run_cli(
+            command, "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+            *[f"--set={o}" for o in FAST_OVERRIDES], "--set", "predict.n=0",
+        )
+        assert code == 2
+        assert "predict.n must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["7", "-7"])
     def test_label_column_outside_row_names_key_and_line(self, tmp_path, capsys, column):
@@ -225,6 +242,23 @@ class TestTrainCommand:
         for row in parsed:
             assert float(row["J"]) == float(repr(float(row["J"])))
 
+    def test_training_abort_exits_with_its_diagnostic(self, tmp_path, capsys):
+        data = write_vector_file(tmp_path / "d.csv", n_per_class=15)
+        out = tmp_path / "out"
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+            "--set", "gmm.components=2", "--set", "trainer.restarts=1",
+            "--set", "trainer.c_init=1000", "--set", "tilt.max_attempts_factor=1",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: iteration 0: \d+/30 examples exhausted the sampling budget \(>20%\); "
+            r"lower C or raise max_attempts\n",
+            err,
+        ), err
+        assert not out.exists()
+
     def test_constant_feature_column_trains(self, tmp_path):
         rng = np.random.default_rng(3)
         lines = [f"{x:.5f},7.0,pos" for x in rng.normal(loc=2.0, size=10)]
@@ -303,6 +337,19 @@ class TestPredictAndBoundReport:
             )
             assert code == 2
             assert f"{cut} is truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "bound-report"])
+    def test_unnormalized_scoring_flag_fails_cleanly(self, trained, capsys, command):
+        data, model, out = trained
+        blob = bytearray((out / "model.bin").read_bytes())
+        assert blob[13] == 1  # byte 13: the scoring flag
+        blob[13] = 0
+        old = out / "old.bin"
+        old.write_bytes(bytes(blob))
+        settings = ("--set", f"data.path={data}", "--set", f"run.output_dir={out}")
+        code = run_cli(command, "--model", str(old), *settings)
+        assert code == 2
+        assert f"{old}: unsupported scoring flag 0 (byte 13)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["predict", "bound-report"])
     def test_feature_count_mismatch_fails_cleanly(self, trained, tmp_path, capsys, command):

@@ -10,7 +10,7 @@ from pacgibbs.predictor import evaluate, predict
 from pacgibbs.trainer import TrainedTask
 
 
-def make_task(u=None, normalized=True):
+def make_task(u=None):
     bp, bm = tiny_gmm_pair()
     dim = 2 * bp.block_dim() + 1
     if u is None:
@@ -22,7 +22,6 @@ def make_task(u=None, normalized=True):
         backend_plus=bp,
         backend_minus=bm,
         history=[],
-        predict_normalized=normalized,
     )
 
 
@@ -68,15 +67,6 @@ class TestPredict:
         (p,) = predict([x], task, 20_000, np.random.default_rng(4))
         score = p.score
         assert score == pytest.approx(oracle, abs=0.01)
-
-    def test_unnormalized_scoring_flag(self):
-        task_n = make_task(normalized=True)
-        task_r = make_task(normalized=False)
-        x = np.array([1.1])
-        (a,) = predict([x], task_n, n=3, rng=np.random.default_rng(5))
-        (b,) = predict([x], task_r, n=3, rng=np.random.default_rng(5))
-        # same hidden draws, different scoring vector scale
-        assert a.score != b.score
 
     def test_rejects_zero_votes(self):
         with pytest.raises(InvalidArgumentError):

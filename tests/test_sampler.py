@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import enumerate_gmm_tilt, tiny_gmm_pair
 from pacgibbs.errors import InvalidArgumentError
 from pacgibbs.features import assemble
-from pacgibbs.numerics import phi_tail
 from pacgibbs.sampler import TiltConfig, rejection_sample, tilt_exponents
 from pacgibbs.selftest import component_pair, rate_error, tv_distance
 
@@ -43,16 +42,6 @@ class TestTiltExponent:
         #半 the disagreement at margin 0 is 1/4, times C=2
         assert tilt_exponent(f, None, u, cfg) == pytest.approx(-0.5)
 
-    def test_m_squared_scale_coefficients(self):
-        cfg = TiltConfig(C=1.0, m=6, m_l=2, m_u=4, weight_scale="m_squared")
-        f = unit_feature([1.0, 0.0, 0.0])
-        u = np.random.default_rng(0).normal(size=f.shape[1])
-        a = float(u @ f[0])
-        assert tilt_exponent(f, 1, u, cfg) == pytest.approx(-(36 / 2) * phi_tail(a))
-        assert tilt_exponent(f, None, u, cfg) == pytest.approx(
-            -(36 / 4) * phi_tail(a) * phi_tail(-a)
-        )
-
     @given(st.floats(-30, 30), st.floats(0.01, 10.0), st.sampled_from([1, -1, None]))
     @settings(max_examples=60)
     def test_never_positive(self, scale, C, y):
@@ -74,8 +63,6 @@ class TestTiltExponent:
             TiltConfig(C=1.0, m=2, m_l=1, m_u=1, n_draws=0)
         with pytest.raises(InvalidArgumentError):
             TiltConfig(C=1.0, m=2, m_l=1, m_u=1, n_draws=5, max_attempts=3)
-        with pytest.raises(InvalidArgumentError):
-            TiltConfig(C=1.0, m=2, m_l=1, m_u=1, weight_scale="bogus")
 
 
 class TestRejectionSampler:

@@ -67,8 +67,8 @@ def sample_both(seed, x, y, bp, bm, u, cfg):
 
 
 def sampler_cases(make_pair, n_cases, seed):
-    """(x, y, backends, u, cfg) covering C = 0, both labels, no label, both
-    weight scales, n_draws 1-8 and budgets small enough to degrade."""
+    """(x, y, backends, u, cfg) covering C = 0, both labels, no label,
+    n_draws 1-8 and budgets small enough to degrade."""
     rng = np.random.default_rng(seed)
     for i in range(n_cases):
         x, bp, bm = make_pair(i, rng)
@@ -80,7 +80,6 @@ def sampler_cases(make_pair, n_cases, seed):
             m=int(rng.integers(2, 30)),
             m_l=int(rng.integers(1, 10)),
             m_u=int(rng.integers(1, 10)),
-            weight_scale=("per_example", "m_squared")[i % 2],
             n_draws=n_draws,
             max_attempts=budget,
         )
@@ -138,10 +137,10 @@ class TestPredictorMatchesLoop:
         for i in range(60):
             x, bp, bm = make_pair(i, rng)
             u = rng.normal(size=bp.block_dim() + bm.block_dim() + 1)
-            n, normalized = 1 + i % 8, bool(i % 3)
+            n = 1 + i % 8
             rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
-            (new,) = vote_scores([x], bp, bm, u, n, rng_new, normalized).tolist()
-            old = ref.vote_scores(x, bp, bm, u, n, rng_old, normalized)
+            (new,) = vote_scores([x], bp, bm, u, n, rng_new).tolist()
+            old = ref.vote_scores(x, bp, bm, u, n, rng_old)
             assert [v.hex() for v in new] == [v.hex() for v in old]
             assert rng_new.random() == rng_old.random()
 
@@ -253,7 +252,7 @@ class TestLogSumExp:
         assert bits(got) == bits(np.array(expected))
 
 
-def random_task(make_pair, rng, normalized=True):
+def random_task(make_pair, rng):
     _, bp, bm = make_pair(int(rng.integers(100)), rng)
     dim = bp.block_dim() + bm.block_dim() + 1
     return TrainedTask(
@@ -263,7 +262,6 @@ def random_task(make_pair, rng, normalized=True):
         backend_plus=bp,
         backend_minus=bm,
         history=[],
-        predict_normalized=normalized,
     )
 
 
@@ -280,9 +278,7 @@ def reference_predictions(xs, task, n, rng):
     """(votes, score, label) of each input, predicted one at a time by the per-draw loop."""
     out = []
     for x in xs:
-        votes = ref.vote_scores(
-            x, task.backend_plus, task.backend_minus, task.u, n, rng, task.predict_normalized
-        )
+        votes = ref.vote_scores(x, task.backend_plus, task.backend_minus, task.u, n, rng)
         score = float(np.mean(votes))
         out.append((votes, score, 1 if score >= 0 else -1))
     return out
@@ -301,13 +297,12 @@ CASES = [(gmm_pair, gmm_inputs), (hmm_pair, hmm_inputs)]
 
 class TestFilePredictionMatchesLoop:
     # 12 votes take numpy's eight-wide pairwise sum for the mean.
-    @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("n", [1, 5, 12])
     @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
-    def test_one_stack_equals_inputs_one_at_a_time(self, make_pair, make_inputs, n, normalized):
+    def test_one_stack_equals_inputs_one_at_a_time(self, make_pair, make_inputs, n):
         rng = np.random.default_rng(81 + n)
         for trial in range(6):
-            task = random_task(make_pair, rng, normalized)
+            task = random_task(make_pair, rng)
             xs = make_inputs(task, 30, rng)
             rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
             new = predict(xs, task, n, rng_new)

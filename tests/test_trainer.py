@@ -1,4 +1,4 @@
-"""Training loop behavior: initialization, updates, routing, restarts."""
+"""Training loop behavior: initialization, updates, routing, one run per task."""
 
 import numpy as np
 import pytest
@@ -213,23 +213,31 @@ class TestTrain:
         with pytest.raises(InvalidArgumentError):
             train([], [], bp, bm, small_cfg())
 
+    @pytest.mark.parametrize("name", ["restarts", "max_outer_iters"])
+    def test_count_below_one_names_field(self, name):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be >= 1, got 0$"):
+            small_cfg(**{name: 0})
+
 
 class TestMultiRestart:
-    def test_single_restart_identical_to_train(self, cluster_problem):
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_identical_to_train(self, cluster_problem, restarts):
+        """One run per task: ``restarts`` only sets the prior-mean fit's random starts."""
         S_l, bp, bm = cluster_problem
-        cfg = small_cfg(max_outer_iters=3)
+        cfg = small_cfg(max_outer_iters=3, restarts=restarts)
         a = train(S_l, [], bp, bm, cfg)
         b = multi_restart_train(S_l, [], bp, bm, cfg)
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.u0, b.u0)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.u0.tobytes() == b.u0.tobytes()
+        assert a.C.hex() == b.C.hex()
+        assert [r.J.hex() for r in a.history] == [r.J.hex() for r in b.history]
 
-    def test_more_restarts_never_worse(self, cluster_problem):
+    def test_abort_propagates_unwrapped(self, cluster_problem):
         S_l, bp, bm = cluster_problem
-        cfg1 = small_cfg(max_outer_iters=3, restarts=1)
-        cfg3 = small_cfg(max_outer_iters=3, restarts=3)
-        j1 = multi_restart_train(S_l, [], bp, bm, cfg1).history[-1].J
-        j3 = multi_restart_train(S_l, [], bp, bm, cfg3).history[-1].J
-        assert j3 <= j1
+        tilt = TiltConfig(C=1.0, m=1, m_l=1, m_u=1, n_draws=3, max_attempts=3)
+        cfg = small_cfg(C_init=5000.0, restarts=3)
+        with pytest.raises(TrainingAbort, match=r"^iteration 0: \d+/80 examples exhausted"):
+            multi_restart_train(S_l, [], bp, bm, cfg, tilt)
 
     def test_bit_identical_reruns(self, cluster_problem):
         S_l, bp, bm = cluster_problem
