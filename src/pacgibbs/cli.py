@@ -72,15 +72,10 @@ def _train_config(cfg: RunConfig, seed: int | None = None) -> TrainConfig:
     )
 
 
-def _tilt_config(cfg: RunConfig, m_l: int, m_u: int) -> TiltConfig:
+def _tilt_config(cfg: RunConfig) -> TiltConfig:
     n = cfg["tilt.n_draws"]
     return TiltConfig(
-        C=cfg["trainer.c_init"],
-        m=m_l + m_u,
-        m_l=max(m_l, 1),
-        m_u=max(m_u, 1),
-        n_draws=n,
-        max_attempts=cfg["tilt.max_attempts_factor"] * n,
+        C=cfg["trainer.c_init"], n_draws=n, max_attempts=cfg["tilt.max_attempts_factor"] * n
     )
 
 
@@ -199,7 +194,7 @@ def cmd_train(cfg: RunConfig) -> int:
     xs, ys = [x for x, _ in S_l], [y for _, y in S_l]
     bp, bm = _build_backends(cfg, ds, xs, ys, cfg["trainer.seed"])
     tcfg = _train_config(cfg)
-    tilt = _tilt_config(cfg, len(S_l), len(S_u))
+    tilt = _tilt_config(cfg)
     task = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
 
     out_dir = cfg["run.output_dir"]
@@ -273,7 +268,7 @@ def cmd_bound_report(cfg: RunConfig, model_path: str) -> int:
     S_l, S_u = _example_sets(cfg, ds, xs)
     if not S_l:
         raise ConfigError("bound-report needs labeled data")
-    tilt = _tilt_config(cfg, len(S_l), len(S_u))
+    tilt = _tilt_config(cfg)
     delta = cfg["trainer.delta"]
     report = evaluate_bounds(S_l, S_u, model.task, tilt, delta, cfg["trainer.seed"])
     print(f"examples: {len(S_l)} labeled, {len(S_u)} unlabeled")
@@ -316,7 +311,7 @@ def _benchmark_unit(
     unit_seed = int(seed_seq.generate_state(1)[0])
     bp, bm = _build_backends(cfg, ds, [x for x, _ in S_l], [y for _, y in S_l], unit_seed)
     tcfg = _train_config(cfg, seed=unit_seed)
-    tilt = _tilt_config(cfg, len(S_l), len(S_u))
+    tilt = _tilt_config(cfg)
     trained = multi_restart_train(S_l, S_u, bp, bm, tcfg, tilt)
     test_pairs = list(zip(xs_test, [int(y) for y in y_test]))
     acc = evaluate(test_pairs, trained, cfg["predict.n"], derive_rng(unit_seed, 902))

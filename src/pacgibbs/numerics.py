@@ -14,11 +14,12 @@ from .errors import InvalidArgumentError
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_erfc = None  # scipy.special.erfc, once phi_tail has imported it
 
 
 def _check_finite(a, name: str):
     arr = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} must be finite, got {a!r}")
     return arr
 
@@ -31,19 +32,21 @@ def phi_tail(a):
     oracle).  Strictly decreasing, with ``phi_tail(a) + phi_tail(-a) == 1``
     to machine precision.
     """
-    # Imported on first use: scipy.special takes ~0.35 s to load, and predict never gets here.
-    from scipy.special import erfc
+    global _erfc
+    if _erfc is None:
+        # Imported on first use: scipy.special takes ~0.35 s to load, and predict never gets here.
+        from scipy.special import erfc as _erfc
 
     arr = _check_finite(a, "a")
-    out = 0.5 * erfc(arr * _INV_SQRT_2)
-    return float(out) if np.isscalar(a) or arr.ndim == 0 else out
+    out = 0.5 * _erfc(arr * _INV_SQRT_2)
+    return float(out) if arr.ndim == 0 else out
 
 
 def gauss_pdf(a):
     """Standard normal density ``exp(-a^2/2) / sqrt(2*pi)`` (unit std, zero mean)."""
     arr = _check_finite(a, "a")
     out = _INV_SQRT_2PI * np.exp(-0.5 * arr * arr)
-    return float(out) if np.isscalar(a) or arr.ndim == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def finite_diff_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -15,6 +15,12 @@ run, so the sampler consumes exactly the random numbers, in the same
 order, as a loop making one attempt at a time, and leaves the generator
 in the same state.
 
+The first chunk of every example holds ``n_draws`` attempts whatever
+happens, so :func:`first_chunks` proposes and tilts the first chunks of
+many examples, each from its own generator, as one stack.
+:func:`rejection_sample` then continues each example from its first
+chunk, and proposes more only for examples still short of draws.
+
 Tilt weights: every labeled example is weighted by its expected
 misclassification and every unlabeled one by its expected disagreement,
 each with weight 1.  The literal per-example weights grow like m^2/m_l,
@@ -36,17 +42,12 @@ from .numerics import phi_tail
 
 @dataclass
 class TiltConfig:
-    """Sampler settings: trade-off constant, set sizes, draw budget.
+    """Sampler settings: trade-off constant and draw budget.
 
-    The set sizes ``m``, ``m_l`` and ``m_u`` are recorded only; the tilt
-    weights do not depend on them.  ``max_attempts`` defaults to 200
-    proposals per requested draw.
+    ``max_attempts`` defaults to 200 proposals per requested draw.
     """
 
     C: float
-    m: int
-    m_l: int
-    m_u: int
     n_draws: int = 5
     max_attempts: int | None = None
 
@@ -111,19 +112,55 @@ def propose(
 
 
 def tilt_exponents(
-    phi_bar: np.ndarray, y: int | None, u: np.ndarray, cfg: TiltConfig
+    phi_bar: np.ndarray, y: int | np.ndarray | None, u: np.ndarray, cfg: TiltConfig
 ) -> np.ndarray:
     """Log acceptance probabilities of k proposals (rows of ``phi_bar``); all <= 0.
 
     Labeled examples are weighted by the expected misclassification,
     unlabeled ones by the expected disagreement (halved, matching the
-    1/(2 m_u) weight in the tilt definition).
+    1/(2 m_u) weight in the tilt definition).  ``y`` is the label of
+    every row, None for unlabeled rows, or an array of k row labels.
     """
     if cfg.C == 0.0:
         return np.zeros(phi_bar.shape[0])
     a = row_dots(u, phi_bar)
     weight = phi_tail(a) * phi_tail(-a) if y is None else phi_tail(y * a)
     return -cfg.C * weight
+
+
+def first_chunks(
+    xs,
+    ys,
+    backend_plus: GenerativeBackend,
+    backend_minus: GenerativeBackend,
+    u: np.ndarray,
+    cfg: TiltConfig,
+    rngs,
+    posts: tuple,
+) -> list[tuple]:
+    """The first chunk of ``cfg.n_draws`` attempts of each input in ``xs``, as one stack.
+
+    Input ``i`` (label ``ys[i]``, None if unlabeled) draws its uniforms
+    from ``rngs[i]``, as :func:`rejection_sample` would, so the inputs
+    must share their uniforms per draw.  ``posts`` holds both models'
+    posteriors of ``xs``.  Returns one ``(accept_uniforms, (h_plus,
+    h_minus, phi_bar, exponents))`` per input, for the ``first``
+    argument of :func:`rejection_sample`.
+    """
+    n = cfg.n_draws
+    width = backend_plus.uniforms_per_draw(xs[0]) + backend_minus.uniforms_per_draw(xs[0])
+    uniforms = np.concatenate([rng.random((n, width + 1)) for rng in rngs])
+    h_plus, h_minus, phi_bar = propose(xs, backend_plus, backend_minus, posts, uniforms[:, :-1])
+    labeled = np.repeat([y is not None for y in ys], n)
+    exponents = np.empty(len(phi_bar))
+    exponents[labeled] = tilt_exponents(
+        phi_bar[labeled], np.repeat([y for y in ys if y is not None], n), u, cfg
+    )
+    exponents[~labeled] = tilt_exponents(phi_bar[~labeled], None, u, cfg)
+    rows = [slice(i * n, (i + 1) * n) for i in range(len(xs))]
+    return [
+        (uniforms[r, -1], (h_plus[r], h_minus[r], phi_bar[r], exponents[r])) for r in rows
+    ]
 
 
 def rejection_sample(
@@ -135,6 +172,7 @@ def rejection_sample(
     cfg: TiltConfig,
     rng: np.random.Generator,
     posts: tuple | None = None,
+    first: tuple | None = None,
 ) -> HiddenSampleSet:
     """Draw ``cfg.n_draws`` hidden pairs from the tilted posterior of ``x``.
 
@@ -143,7 +181,9 @@ def rejection_sample(
     attempt budget runs out first, the n_draws proposals with the largest
     exponents seen so far are kept and the result is flagged degraded.
     ``posts`` holds both models' posteriors of ``x`` as stacks of one;
-    without it they are computed here.
+    without it they are computed here.  ``first`` is a first chunk that
+    :func:`first_chunks` already drew from ``rng``; sampling continues
+    from it, with ``rng`` in the state it left.
     """
     xs = [x]
     if posts is None:
@@ -157,13 +197,16 @@ def rejection_sample(
     while len(accepted) < cfg.n_draws and attempts < cfg.max_attempts:
         # Each of these attempts runs whatever the earlier ones in the chunk decide.
         k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
-        uniforms = rng.random((k, n_uniforms))
-        h_plus, h_minus, phi_bar = propose(
-            xs, backend_plus, backend_minus, posts, uniforms[:, :-1]
-        )
-        exponents = tilt_exponents(phi_bar, y, u, cfg)
-        chunks.append((h_plus, h_minus, phi_bar, exponents))
-        accepts = np.log(uniforms[:, -1]) < exponents
+        if first is None:
+            uniforms = rng.random((k, n_uniforms))
+            chunk = propose(xs, backend_plus, backend_minus, posts, uniforms[:, :-1])
+            chunk += (tilt_exponents(chunk[2], y, u, cfg),)
+            accept_uniforms = uniforms[:, -1]
+        else:
+            (accept_uniforms, chunk), first = first, None
+        chunks.append(chunk)
+        exponents = chunk[3]
+        accepts = np.log(accept_uniforms) < exponents
         accepted += (attempts + np.flatnonzero(accepts)).tolist()
         for i in np.flatnonzero(~accepts).tolist():
             entry = (float(exponents[i]), attempts + i)

@@ -172,7 +172,7 @@ def check_sampler() -> list[CheckResult]:
 
 
 def _fidelity(case, x, bp, bm, u, rng, enumerate_tilt, key) -> list[CheckResult]:
-    cfg = TiltConfig(C=1.2, m=4, m_l=2, m_u=2, n_draws=N_ACCEPTED, max_attempts=60 * N_ACCEPTED)
+    cfg = TiltConfig(C=1.2, n_draws=N_ACCEPTED, max_attempts=60 * N_ACCEPTED)
     probs, z_norm = enumerate_tilt(x, 1, bp, bm, u, cfg)
     out = rejection_sample(x, 1, bp, bm, u, cfg, rng)
     tv = tv_distance(probs, [key(hp, hm) for hp, hm in zip(out.h_plus, out.h_minus)])

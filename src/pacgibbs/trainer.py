@@ -41,8 +41,8 @@ from .bounds import (
 )
 from .errors import InvalidArgumentError, TrainingAbort
 from .features import GenerativeBackend
-from .predictor import evaluate
-from .sampler import TiltConfig, rejection_sample
+from .predictor import blocks, evaluate
+from .sampler import TiltConfig, first_chunks, rejection_sample
 
 C_UPDATE_MODES = ("gradient", "cross_validation", "fixed")
 MIN_C = 1e-3
@@ -117,19 +117,29 @@ class TrainedTask:
 def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
     """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``.
 
-    Both models' posteriors of every example come from one stacked call
-    each; every example's sampler gets its own slice.
+    Examples that use as many uniforms per draw (for sequences: of one
+    length) are handled in stacks of at most ``BLOCK_ROWS`` first-chunk
+    rows: one posterior call per backend, and one proposal and tilt of
+    every example's first chunk.  Each example's sampler then continues
+    from its own chunk and posterior slice.
     """
     xs = [x for x, _ in S_l] + list(S_u)
     ys = [y for _, y in S_l] + [None] * len(S_u)
-    post_plus, post_minus = bp.approx_posterior(xs), bm.approx_posterior(xs)
-    sets = [
-        rejection_sample(
-            x, y, bp, bm, u, tcfg, derive_rng(seed, *key, i),
-            (post_plus[i : i + 1], post_minus[i : i + 1]),
-        )
-        for i, (x, y) in enumerate(zip(xs, ys))
-    ]
+    widths = [bp.uniforms_per_draw(x) + bm.uniforms_per_draw(x) for x in xs]
+    sets = [None] * len(xs)
+    for width in dict.fromkeys(widths):
+        group = [i for i, w in enumerate(widths) if w == width]
+        for block in blocks(len(group), tcfg.n_draws):
+            idx = group[block]
+            stack = [xs[i] for i in idx]
+            posts = (bp.approx_posterior(stack), bm.approx_posterior(stack))
+            rngs = [derive_rng(seed, *key, i) for i in idx]
+            firsts = first_chunks(stack, [ys[i] for i in idx], bp, bm, u, tcfg, rngs, posts)
+            for j, i in enumerate(idx):
+                sets[i] = rejection_sample(
+                    xs[i], ys[i], bp, bm, u, tcfg, rngs[j],
+                    (posts[0][j : j + 1], posts[1][j : j + 1]), firsts[j],
+                )
     return sets[: len(S_l)], sets[len(S_l) :]
 
 
@@ -291,9 +301,7 @@ def train(
     dim = bp.block_dim() + bm.block_dim() + 1
 
     if tilt_cfg is None:
-        tilt_cfg = TiltConfig(C=cfg.C_init, m=m, m_l=m_l, m_u=m_u)
-    else:
-        tilt_cfg = replace(tilt_cfg, m=m, m_l=max(m_l, 1), m_u=max(m_u, 1))
+        tilt_cfg = TiltConfig(C=cfg.C_init)
     n = tilt_cfg.n_draws
 
     frac_rng = derive_rng(cfg.seed, _PHASE_FRACTIONS)
@@ -413,7 +421,7 @@ def evaluate_bounds(
     S_u = list(S_u or [])
     m_l, m_u = len(S_l), len(S_u)
     m = m_l + m_u
-    tcfg = replace(tilt_cfg, C=task.C, m=m, m_l=max(m_l, 1), m_u=max(m_u, 1))
+    tcfg = replace(tilt_cfg, C=task.C)
     bp, bm = task.backend_plus, task.backend_minus
     sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, task.u, tcfg, seed, _PHASE_LOOP, 0)
     shape = (tcfg.n_draws, bp.block_dim() + bm.block_dim() + 1)

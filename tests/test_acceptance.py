@@ -165,7 +165,7 @@ class TestCriterion6BoundValidity:
             cfg = TrainConfig(
                 max_outer_iters=4, restarts=1, seed=trial, c_update="fixed", C_init=1.0
             )
-            tilt = TiltConfig(C=1.0, m=1, m_l=1, m_u=1, n_draws=3)
+            tilt = TiltConfig(C=1.0, n_draws=3)
             task = train(S_l, S_u, bp, bm, cfg, tilt)
             bound = evaluate_bounds(S_l, S_u, task, tilt, 0.05, seed=trial + 777)[
                 "bound_semisupervised_raw"
@@ -274,7 +274,7 @@ class TestCriterion8SemiSupervisedEffect:
             cfg = TrainConfig(
                 max_outer_iters=10, restarts=1, seed=p, c_update="fixed", C_init=1.0, gamma_u=2.0
             )
-            tilt = TiltConfig(C=1.0, m=1, m_l=1, m_u=1, n_draws=8)
+            tilt = TiltConfig(C=1.0, n_draws=8)
             # a neutral (zero) starting weight leaves the disagreement at its
             # maximum, so contraction during training is observable
             u_init = np.zeros(2 * bp.block_dim() + 1)

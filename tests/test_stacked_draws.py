@@ -14,7 +14,7 @@ import pytest
 from scipy.special import logsumexp
 
 import reference_draws as ref
-from pacgibbs import predictor
+from pacgibbs import predictor, sampler
 from pacgibbs.cli import _format_float, main
 from pacgibbs.gmm import GmmBackend, GmmParams, _logsumexp
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward, sample_paths
@@ -75,14 +75,9 @@ def sampler_cases(make_pair, n_cases, seed):
         n_draws = int(rng.integers(1, 9))
         C = (0.0, 0.7, 4.0, 60.0)[i % 4]
         budget = (None, n_draws, int(rng.integers(n_draws, 4 * n_draws + 1)))[i % 3]
-        cfg = TiltConfig(
-            C=C,
-            m=int(rng.integers(2, 30)),
-            m_l=int(rng.integers(1, 10)),
-            m_u=int(rng.integers(1, 10)),
-            n_draws=n_draws,
-            max_attempts=budget,
-        )
+        # Three draws that once set TiltConfig's unused set sizes; the cases stay the same.
+        rng.integers(2, 30), rng.integers(1, 10), rng.integers(1, 10)
+        cfg = TiltConfig(C=C, n_draws=n_draws, max_attempts=budget)
         u = rng.normal(size=bp.block_dim() + bm.block_dim() + 1) * rng.choice([0.5, 3.0])
         yield x, (1, -1, None, -1, None)[i % 5], bp, bm, u, cfg
 
@@ -122,7 +117,7 @@ class TestSamplerMatchesLoop:
             x, bp, bm = make_pair(i, rng)
             n_draws = int(rng.integers(2, 9))
             budget = int(rng.integers(n_draws, 4 * n_draws + 1))
-            cfg = TiltConfig(C=60.0, m=10, m_l=5, m_u=5, n_draws=n_draws, max_attempts=budget)
+            cfg = TiltConfig(C=60.0, n_draws=n_draws, max_attempts=budget)
             u = rng.normal(size=bp.block_dim() + bm.block_dim() + 1) * 300.0
             new = sample_both(i, x, (1, -1)[i % 2], bp, bm, u, cfg)
             tied = new.phi_bar[new.exponents == -cfg.C]
@@ -425,28 +420,100 @@ def pass_examples(make_pair, make_inputs, m_l, m_u, rng):
     return list(zip(xs[:m_l], labels)), xs[m_l:], task
 
 
+def assert_pass_matches_loop(S_l, S_u, bp, bm, u, cfg, seed=5, key=(1, 0)):
+    """One sampling pass against each example sampled alone by the per-draw loop."""
+    sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, u, cfg, seed, *key)
+    assert (len(sets_l), len(sets_u)) == (len(S_l), len(S_u))
+    examples = S_l + [(x, None) for x in S_u]
+    for i, ((x, y), new) in enumerate(zip(examples, sets_l + sets_u)):
+        old = ref.rejection_sample(x, y, bp, bm, u, cfg, derive_rng(seed, *key, i))
+        assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
+    return sets_l + sets_u
+
+
 class TestSamplingPassMatchesLoop:
     @pytest.mark.parametrize("m_u", [0, 6])
     @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
     def test_pass_equals_examples_one_at_a_time(self, make_pair, make_inputs, m_u):
-        """One stacked posterior call per backend and pass, each example's
-        sampler on its slice: the same sets as each example alone, with
-        some examples falling back to the degraded path."""
+        """Every example's first chunk proposed and tilted in one stack, each
+        example's sampler continuing from its own: the same sets as each
+        example alone, with some examples falling back to the degraded path."""
         rng = np.random.default_rng(90 + m_u)
         degraded = total = 0
         for trial in range(4):
             S_l, S_u, task = pass_examples(make_pair, make_inputs, 14, m_u, rng)
-            bp, bm = task.backend_plus, task.backend_minus
-            cfg = TiltConfig(C=(4.0, 60.0)[trial % 2], m=14 + m_u, m_l=14, m_u=max(m_u, 1),
-                             n_draws=3, max_attempts=int(rng.integers(3, 10)))
-            u = task.u * 3.0
-            key = (1, trial)
-            sets_l, sets_u = _sample_sets(S_l, S_u, bp, bm, u, cfg, 5, *key)
-            assert (len(sets_l), len(sets_u)) == (14, m_u)
-            examples = S_l + [(x, None) for x in S_u]
-            for i, ((x, y), new) in enumerate(zip(examples, sets_l + sets_u)):
-                old = ref.rejection_sample(x, y, bp, bm, u, cfg, derive_rng(5, *key, i))
-                assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
-                degraded += new.degraded
-                total += 1
+            cfg = TiltConfig(
+                C=(4.0, 60.0)[trial % 2], n_draws=3, max_attempts=int(rng.integers(3, 10))
+            )
+            sets = assert_pass_matches_loop(
+                S_l, S_u, task.backend_plus, task.backend_minus, task.u * 3.0, cfg, key=(1, trial)
+            )
+            degraded += sum(s.degraded for s in sets)
+            total += len(sets)
         assert 0 < degraded < total
+
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_untilted_pass_accepts_every_first_chunk(self, make_pair, make_inputs):
+        """C = 0, as in the prior-mean fit: every example keeps its first chunk."""
+        rng = np.random.default_rng(93)
+        S_l, S_u, task = pass_examples(make_pair, make_inputs, 9, 5, rng)
+        cfg = TiltConfig(C=0.0, n_draws=4)
+        sets = assert_pass_matches_loop(S_l, S_u, task.backend_plus, task.backend_minus, task.u, cfg)
+        assert all(s.attempts == 4 and s.acceptance_rate == 1.0 for s in sets)
+
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_budget_of_one_chunk(self, make_pair, make_inputs):
+        """max_attempts == n_draws: the first chunk is the whole budget, and
+        degraded sets are made from it alone."""
+        rng = np.random.default_rng(94)
+        degraded = total = 0
+        for trial in range(3):
+            S_l, S_u, task = pass_examples(make_pair, make_inputs, 10, 4, rng)
+            cfg = TiltConfig(C=(0.7, 4.0, 60.0)[trial], n_draws=4, max_attempts=4)
+            sets = assert_pass_matches_loop(
+                S_l, S_u, task.backend_plus, task.backend_minus, task.u * 3.0, cfg, key=(2, trial)
+            )
+            assert all(s.attempts == 4 for s in sets)
+            degraded += sum(s.degraded for s in sets)
+            total += len(sets)
+        assert 0 < degraded < total
+
+    def test_length_groups_mix_labels_and_unlabeled(self):
+        """Sequences of lengths 1, 2 and 5, each length shared by +1, -1 and
+        unlabeled examples, across more stacks than one block holds."""
+        rng = np.random.default_rng(95)
+        task = random_task(hmm_pair, rng)
+        xs = hmm_inputs(task, 36, rng, lengths=(1, 2, 5))
+        S_l = list(zip(xs[:24], [1, -1] * 12))
+        S_u = xs[24:]
+        for L in (1, 2, 5):
+            mixed = [y for x, y in S_l if len(x) == L] + [None for x in S_u if len(x) == L]
+            assert {1, -1, None} <= set(mixed), L
+        cfg = TiltConfig(C=4.0, n_draws=3, max_attempts=9)
+        for block_rows in (predictor.BLOCK_ROWS, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(predictor, "BLOCK_ROWS", block_rows)
+                assert_pass_matches_loop(
+                    S_l, S_u, task.backend_plus, task.backend_minus, task.u * 3.0, cfg
+                )
+
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_untilted_pass_proposes_once_per_stack(self, make_pair, make_inputs, monkeypatch):
+        """In a C = 0 pass every example accepts its first chunk, so the only
+        proposals are one stacked call per width group and block."""
+        monkeypatch.setattr(predictor, "BLOCK_ROWS", 8)
+        rng = np.random.default_rng(96)
+        S_l, S_u, task = pass_examples(make_pair, make_inputs, 15, 7, rng)
+        bp, bm = task.backend_plus, task.backend_minus
+        calls = []
+        propose = sampler.propose
+        monkeypatch.setattr(
+            sampler, "propose", lambda xs, *args: calls.append(len(xs)) or propose(xs, *args)
+        )
+        _sample_sets(S_l, S_u, bp, bm, task.u, TiltConfig(C=0.0, n_draws=3), 5, 0)
+        xs = [x for x, _ in S_l] + S_u
+        widths = [bp.uniforms_per_draw(x) + bm.uniforms_per_draw(x) for x in xs]
+        groups = [widths.count(w) for w in dict.fromkeys(widths)]
+        assert len(calls) == sum(len(predictor.blocks(size, 3)) for size in groups)
+        assert len(calls) < len(xs) and sum(calls) == len(xs)
+        assert max(calls) <= predictor.BLOCK_ROWS // 3

@@ -66,7 +66,7 @@ class TestInitU0:
     def test_separating_direction(self, cluster_problem):
         S_l, bp, bm = cluster_problem
         cfg = small_cfg(restarts=3)
-        tilt = TiltConfig(C=1.0, m=len(S_l), m_l=len(S_l), m_u=1)
+        tilt = TiltConfig(C=1.0)
         u0 = init_u0(S_l, [], bp, bm, cfg, tilt)
         # the fitted direction classifies the training fraction well
         correct = 0
@@ -79,7 +79,7 @@ class TestInitU0:
     def test_beats_random_search_baseline(self, cluster_problem):
         S_l, bp, bm = cluster_problem
         cfg = small_cfg(restarts=2)
-        tilt = TiltConfig(C=1.0, m=len(S_l), m_l=len(S_l), m_u=1)
+        tilt = TiltConfig(C=1.0)
         u0 = init_u0(S_l, [], bp, bm, cfg, tilt)
 
         # independent oracle: best of 100 random vectors on freshly sampled
@@ -112,7 +112,7 @@ class TestInitU0:
     def test_zero_iterations_returns_best_start_unmoved(self, cluster_problem):
         S_l, bp, bm = cluster_problem
         cfg = small_cfg(restarts=4)
-        tilt = TiltConfig(C=1.0, m=len(S_l), m_l=len(S_l), m_u=1)
+        tilt = TiltConfig(C=1.0)
         u0_frozen = init_u0(S_l, [], bp, bm, cfg, tilt, max_iters=0)
         starts = [
             derive_rng(cfg.seed, 2, r).uniform(-cfg.init_range, cfg.init_range, u0_frozen.size)
@@ -124,7 +124,7 @@ class TestInitU0:
     def test_requires_labeled(self, cluster_problem):
         _, bp, bm = cluster_problem
         with pytest.raises(InvalidArgumentError):
-            init_u0([], [], bp, bm, small_cfg(), TiltConfig(C=1.0, m=1, m_l=1, m_u=1))
+            init_u0([], [], bp, bm, small_cfg(), TiltConfig(C=1.0))
 
 
 class TestTrain:
@@ -189,7 +189,7 @@ class TestTrain:
 
     def test_degraded_sampling_aborts(self, cluster_problem):
         S_l, bp, bm = cluster_problem
-        tilt = TiltConfig(C=1.0, m=1, m_l=1, m_u=1, n_draws=3, max_attempts=3)
+        tilt = TiltConfig(C=1.0, n_draws=3, max_attempts=3)
         cfg = small_cfg(C_init=5000.0)
         with pytest.raises(TrainingAbort, match="sampling"):
             train(S_l, [], bp, bm, cfg, tilt)
@@ -234,7 +234,7 @@ class TestMultiRestart:
 
     def test_abort_propagates_unwrapped(self, cluster_problem):
         S_l, bp, bm = cluster_problem
-        tilt = TiltConfig(C=1.0, m=1, m_l=1, m_u=1, n_draws=3, max_attempts=3)
+        tilt = TiltConfig(C=1.0, n_draws=3, max_attempts=3)
         cfg = small_cfg(C_init=5000.0, restarts=3)
         with pytest.raises(TrainingAbort, match=r"^iteration 0: \d+/80 examples exhausted"):
             multi_restart_train(S_l, [], bp, bm, cfg, tilt)
@@ -267,7 +267,7 @@ class TestEvaluateBounds:
     def test_supervised_data_bounds_coincide(self, cluster_problem):
         S_l, bp, bm = cluster_problem
         task = train(S_l, [], bp, bm, small_cfg(max_outer_iters=2))
-        tilt = TiltConfig(C=task.C, m=len(S_l), m_l=len(S_l), m_u=1)
+        tilt = TiltConfig(C=task.C)
         report = evaluate_bounds(S_l, [], task, tilt, 0.05, seed=3)
         assert report["d_S"] == 0.0
         assert report["bound_semisupervised_raw"] == pytest.approx(
@@ -277,7 +277,7 @@ class TestEvaluateBounds:
     def test_delta_sweep_monotone(self, cluster_problem):
         S_l, bp, bm = cluster_problem
         task = train(S_l, [], bp, bm, small_cfg(max_outer_iters=2))
-        tilt = TiltConfig(C=task.C, m=len(S_l), m_l=len(S_l), m_u=1)
+        tilt = TiltConfig(C=task.C)
         vals = [
             evaluate_bounds(S_l, [], task, tilt, d, seed=3)["bound_supervised_raw"]
             for d in (0.5, 0.05, 0.005)
