@@ -27,7 +27,7 @@ from .errors import InvalidArgumentError
 from .features import GenerativeBackend, row_dots
 # perfbench/tracing.py patches predictor.assemble by name, so the name stays.
 from .features import assemble  # noqa: F401
-from .sampler import propose
+from .sampler import propose, width_groups
 
 BLOCK_ROWS = 1024  # votes (stacked proposal rows) per predict call
 
@@ -59,12 +59,12 @@ def vote_scores(
     """(len(xs), n) vote scores of the inputs ``xs``, row ``i`` for input ``i``."""
     if n < 1:
         raise InvalidArgumentError("need at least one vote")
-    widths = [backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) for x in xs]
+    widths, groups = width_groups(xs, backend_plus, backend_minus)
     stream = rng.random(n * sum(widths))
     starts = n * np.cumsum([0] + widths[:-1], dtype=int)
     votes = np.empty((len(xs), n))
-    for width in dict.fromkeys(widths):
-        idx = [i for i, w in enumerate(widths) if w == width]
+    for idx in groups:
+        width = widths[idx[0]]
         group = [xs[i] for i in idx]
         posts = (backend_plus.approx_posterior(group), backend_minus.approx_posterior(group))
         uniforms = stream[starts[idx][:, None] + np.arange(n * width)].reshape(-1, width)

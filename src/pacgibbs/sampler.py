@@ -83,6 +83,23 @@ class HiddenSampleSet:
     attempts: int = 0
 
 
+def width_groups(
+    xs, backend_plus: GenerativeBackend, backend_minus: GenerativeBackend
+) -> tuple[list[int], list[list[int]]]:
+    """Uniforms per draw of each input in ``xs``, and the groups of inputs that share them.
+
+    A group is the ascending list of indices of one width (for sequences:
+    of one length); groups come in order of first appearance.  Only the
+    inputs of one group may be stacked in a :func:`propose` or
+    :func:`first_chunks` call.
+    """
+    widths = [backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) for x in xs]
+    groups: dict[int, list[int]] = {}
+    for i, width in enumerate(widths):
+        groups.setdefault(width, []).append(i)
+    return widths, list(groups.values())
+
+
 def propose(
     xs,
     backend_plus: GenerativeBackend,

@@ -42,7 +42,7 @@ from .bounds import (
 from .errors import InvalidArgumentError, TrainingAbort
 from .features import GenerativeBackend
 from .predictor import blocks, evaluate
-from .sampler import TiltConfig, first_chunks, rejection_sample
+from .sampler import TiltConfig, first_chunks, rejection_sample, width_groups
 
 C_UPDATE_MODES = ("gradient", "cross_validation", "fixed")
 MIN_C = 1e-3
@@ -125,10 +125,8 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
     """
     xs = [x for x, _ in S_l] + list(S_u)
     ys = [y for _, y in S_l] + [None] * len(S_u)
-    widths = [bp.uniforms_per_draw(x) + bm.uniforms_per_draw(x) for x in xs]
     sets = [None] * len(xs)
-    for width in dict.fromkeys(widths):
-        group = [i for i, w in enumerate(widths) if w == width]
+    for group in width_groups(xs, bp, bm)[1]:
         for block in blocks(len(group), tcfg.n_draws):
             idx = group[block]
             stack = [xs[i] for i in idx]

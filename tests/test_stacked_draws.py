@@ -517,3 +517,19 @@ class TestSamplingPassMatchesLoop:
         assert len(calls) == sum(len(predictor.blocks(size, 3)) for size in groups)
         assert len(calls) < len(xs) and sum(calls) == len(xs)
         assert max(calls) <= predictor.BLOCK_ROWS // 3
+
+
+class TestWidthGroups:
+    def test_groups_partition_inputs_by_length_in_first_appearance_order(self):
+        rng = np.random.default_rng(97)
+        task = random_task(hmm_pair, rng)
+        bp, bm = task.backend_plus, task.backend_minus
+        xs = hmm_inputs(task, 30, rng, lengths=(1, 2, 5, 9))
+        widths, groups = sampler.width_groups(xs, bp, bm)
+        assert widths == [bp.uniforms_per_draw(x) + bm.uniforms_per_draw(x) for x in xs]
+        assert sorted(i for idx in groups for i in idx) == list(range(len(xs)))
+        for idx in groups:
+            assert idx == sorted(idx)
+            assert len({len(xs[i]) for i in idx}) == 1
+        assert [idx[0] for idx in groups] == sorted(idx[0] for idx in groups)
+        assert len(groups) == len({len(x) for x in xs})

@@ -1,6 +1,6 @@
 """sha256 of every output that a change meant to keep outputs byte-identical must keep.
 
-    python3 tools/byte_identity.py TREE OUT.json [--work DIR]
+    python3 tools/byte_identity.py TREE OUT.json
     python3 tools/byte_identity.py --compare A.json B.json
 
 The first form runs the ``pacgibbs`` commands of the recipe below with
@@ -8,9 +8,9 @@ the sources of TREE (a checkout with ``src/pacgibbs``), one command at a
 time, each in a fresh interpreter with one BLAS thread, and writes a
 ``{name: sha256}`` JSON of their outputs.  The second lists the names
 whose hashes differ between two such files (or that only one has) and
-exits 1 if there are any.  Run the first form once per tree, from
-separate work directories; the inputs come from this checkout's
-``perfbench/gen.py`` and ``perfbench/workloads.py``, so both trees see
+exits 1 if there are any.  Each run works in a new temporary directory
+and removes it at the end.  The inputs come from this checkout's
+``perfbench/gen.py`` and ``perfbench/workloads.py``, so every tree sees
 the same files.
 
 The recipe, for perfbench's seed-101 and seed-102 inputs of both
@@ -152,7 +152,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("paths", nargs=2, type=Path, metavar="PATH")
     parser.add_argument("--compare", action="store_true", help="compare two hash files")
-    parser.add_argument("--work", type=Path, help="work directory (default: a temporary one)")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.paths)
@@ -161,14 +160,11 @@ def main(argv=None) -> int:
     if not (tree / "src" / "pacgibbs" / "cli.py").is_file():
         print(f"error: no pacgibbs sources under {tree / 'src'}", file=sys.stderr)
         return 2
-    work = args.work or Path(tempfile.mkdtemp(prefix="byte-identity-"))
-    shutil.rmtree(work, ignore_errors=True)
-    work.mkdir(parents=True)
+    work = Path(tempfile.mkdtemp(prefix="byte-identity-"))
     try:
         hashes = Recipe(tree, work).all()
     finally:
-        if args.work is None:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
     out.write_text(json.dumps(hashes, indent=1) + "\n")
     print(f"# {len(hashes)} outputs hashed into {out}", file=sys.stderr)
     return 0
