@@ -39,7 +39,7 @@ from .errors import ConfigError, DataFormatError, PacgibbsError
 from .gmm import GmmBackend
 from .hmm import HmmBackend
 from .modelio import load_model, save_model
-from .predictor import blocks, evaluate, predict
+from .predictor import evaluate, predict
 from .sampler import TiltConfig
 from .trainer import TrainConfig, derive_rng, evaluate_bounds, multi_restart_train
 
@@ -245,12 +245,11 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     rows = []
     correct = scored = 0
     positive = _resolve_positive(cfg, ds) if ds.class_names else -1
-    for block in blocks(len(xs), n):
-        for i, p in enumerate(predict(xs[block], model.task, n, rng), start=block.start):
-            rows.append((i, p.score, p.label))
-            if ds.labels[i] >= 0:
-                scored += 1
-                correct += p.label == (1 if ds.labels[i] == positive else -1)
+    for i, p in enumerate(predict(xs, model.task, n, rng)):
+        rows.append((i, p.score, p.label))
+        if ds.labels[i] >= 0:
+            scored += 1
+            correct += p.label == (1 if ds.labels[i] == positive else -1)
     out_dir = cfg["run.output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "predictions.csv")

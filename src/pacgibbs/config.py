@@ -99,6 +99,12 @@ class RunConfig:
         for key in ("gmm.components", "hmm.states", "predict.n"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {self.values[key]}")
+        # A learning-curve point trains on at least one example of each class.
+        if any(size < 2 for size in self.learning_curve_sizes()):
+            raise ConfigError(
+                "benchmark.learning_curve_sizes entries must be at least 2, "
+                f"got {self.values['benchmark.learning_curve_sizes']!r}"
+            )
         if require_data:
             path = self.values["data.path"]
             if not path:

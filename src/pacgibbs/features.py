@@ -87,7 +87,8 @@ class GenerativeBackend(ABC):
 
     @abstractmethod
     def update_parameters(self, samples) -> None:
-        """Re-estimate parameters from weighted (x, h) pairs; exclusive."""
+        """Re-estimate parameters from (x, draws) pairs, ``draws`` the stacked
+        hidden draws of one input; exclusive."""
 
     @abstractmethod
     def natural_weights(self) -> np.ndarray:

@@ -135,34 +135,29 @@ def feature_block_gmm(xs, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def m_step_gmm(
-    samples: list[tuple[np.ndarray, np.ndarray, float]],
+    samples: list[tuple[np.ndarray, np.ndarray]],
     previous: GmmParams,
     variance_floor: np.ndarray,
 ) -> GmmParams:
-    """Weighted re-estimation from (x, z, weight) triples.
+    """Re-estimation from (x, draws) pairs, ``draws`` the (n, K) one-hot draws of ``x``.
 
-    Mixture weights are proportional to assigned sample mass; means and
-    variances are weighted moments of the assigned points, variances
-    floored elementwise.  Components receiving zero mass keep their
-    previous parameters.  An empty (or zero-weight) sample set is a
-    no-op with a warning.
+    Mixture weights are proportional to the number of draws assigned;
+    means and variances are the moments of the assigned points, variances
+    floored elementwise.  Components receiving no draws keep their
+    previous parameters.  An empty sample set is a no-op with a warning.
     """
     if not samples:
         warnings.warn("m_step_gmm called with no samples; parameters unchanged")
         return previous.copy()
-    xs = np.stack([np.asarray(x, float) for x, _, _ in samples])
-    zs = np.stack([z for _, z, _ in samples])
-    ws = np.array([w for _, _, w in samples], dtype=float)
-    if ws.sum() <= 0.0:
-        warnings.warn("m_step_gmm called with zero total weight; parameters unchanged")
-        return previous.copy()
+    zs = np.concatenate([z for _, z in samples])
+    xs = np.concatenate([np.tile(np.asarray(x, float), (len(z), 1)) for x, z in samples])
 
-    mass = (ws[:, None] * zs).sum(axis=0)
+    mass = zs.sum(axis=0)
     new = previous.copy()
-    new.weights = np.maximum(mass / ws.sum(), _PI_FLOOR)
+    new.weights = np.maximum(mass / len(zs), _PI_FLOOR)
     new.weights /= new.weights.sum()
     for k in np.flatnonzero(mass > 0.0):
-        wk = ws * zs[:, k]
+        wk = zs[:, k]
         mu = (wk[:, None] * xs).sum(axis=0) / mass[k]
         diff = xs - mu
         var = (wk[:, None] * diff * diff).sum(axis=0) / mass[k]

@@ -234,42 +234,38 @@ def feature_block_hmm(
 
 
 def m_step_hmm(
-    samples: list[tuple[np.ndarray, np.ndarray, float]],
+    samples: list[tuple[np.ndarray, np.ndarray]],
     previous: HmmParams,
     prob_floor: float = PROB_FLOOR,
 ) -> HmmParams:
-    """Weighted re-estimation of initial/transition/emission from (x, q, w) triples."""
+    """Re-estimation of initial/transition/emission from (x, paths) pairs,
+    ``paths`` the (n, L) stacked state paths of the length-L sequence ``x``.
+
+    Every count is an exact integer, so its value, and each row's total,
+    do not depend on the order of the draws.  A row with no counts
+    becomes uniform.  An empty sample set is a no-op with a warning.
+    """
     if not samples:
         warnings.warn("m_step_hmm called with no samples; parameters unchanged")
         return previous.copy()
     M, K = previous.n_states, previous.n_symbols
-    init_counts = np.zeros(M)
-    trans_counts = np.zeros((M, M))
-    emit_counts = np.zeros((M, K))
-    total_w = 0.0
-    for x, q, w in samples:
-        x = np.asarray(x, dtype=int)
-        q = np.asarray(q, dtype=int)
-        init_counts[q[0]] += w
-        np.add.at(trans_counts, (q[:-1], q[1:]), w)
-        np.add.at(emit_counts, (q, x), w)
-        total_w += w
-    if total_w <= 0.0:
-        warnings.warn("m_step_hmm called with zero total weight; parameters unchanged")
-        return previous.copy()
+    xs = [np.asarray(x, dtype=int) for x, _ in samples]
+    qs = [np.asarray(q, dtype=int) for _, q in samples]
+    init = np.concatenate([q[:, 0] for q in qs])
+    trans = np.concatenate([(q[:, :-1] * M + q[:, 1:]).ravel() for q in qs])
+    emit = np.concatenate([(q * K + x).ravel() for x, q in zip(xs, qs)])
 
-    def normalize(counts: np.ndarray) -> np.ndarray:
-        counts = np.atleast_2d(counts)
-        out = np.empty_like(counts, dtype=float)
-        for i, row in enumerate(counts):
-            s = row.sum()
-            out[i] = row / s if s > 0 else np.full(row.shape, 1.0 / row.size)
+    def normalize(indices: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        counts = np.bincount(indices, minlength=rows * cols).reshape(rows, cols).astype(float)
+        totals = counts.sum(axis=1, keepdims=True)
+        out = np.full(counts.shape, 1.0 / cols)
+        np.divide(counts, totals, out=out, where=totals > 0)
         return _floor_rows(out, prob_floor)
 
     return HmmParams(
-        initial=normalize(init_counts)[0],
-        transition=normalize(trans_counts),
-        emission=normalize(emit_counts),
+        initial=normalize(init, 1, M)[0],
+        transition=normalize(trans, M, M),
+        emission=normalize(emit, M, K),
     )
 
 

@@ -12,9 +12,10 @@ those of inputs ``0 .. i-1``, the order in which inputs predicted one at
 a time, and ``n`` draws made one at a time, consume them.  Inputs that
 use as many uniforms per draw (for sequences: of one length) are
 proposed, scored and voted as one :func:`~pacgibbs.sampler.propose`
-stack.  :func:`evaluate` and the ``predict`` command call :func:`predict`
-once per block of at most ``BLOCK_ROWS`` votes, so the stacked arrays
-stay small on large files.
+stack.  :func:`predict` votes its inputs in blocks of at most
+:data:`~pacgibbs.sampler.BLOCK_ROWS` votes, in input order, so the
+stacked arrays stay small on large files and the stream runs on across
+the blocks.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .errors import InvalidArgumentError
 from .features import GenerativeBackend, row_dots
 # perfbench/tracing.py patches predictor.assemble by name, so the name stays.
 from .features import assemble  # noqa: F401
-from .sampler import propose, width_groups
-
-BLOCK_ROWS = 1024  # votes (stacked proposal rows) per predict call
+from .sampler import blocks, propose, width_groups
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,6 @@ class Prediction:
     label: int
     score: float
     votes: tuple[float, ...]
-
-
-def blocks(count: int, n: int) -> list[slice]:
-    """Consecutive slices of ``count`` inputs, each at most ``BLOCK_ROWS`` votes
-    of ``n`` per input (and at least one input)."""
-    step = max(1, BLOCK_ROWS // max(n, 1))
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def vote_scores(
@@ -74,14 +66,16 @@ def vote_scores(
 
 
 def predict(xs, task, n: int = 5, rng: np.random.Generator | None = None) -> list[Prediction]:
-    """Majority-vote labels for the inputs ``xs`` under a trained task, in input order."""
+    """Majority-vote labels for the list of inputs ``xs`` under a trained task, in input order."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    votes = vote_scores(xs, task.backend_plus, task.backend_minus, task.u, n, rng)
-    scores = votes.mean(axis=1).tolist()
-    return [
-        Prediction(label=1 if score >= 0 else -1, score=score, votes=tuple(row))
-        for score, row in zip(scores, votes.tolist())
-    ]
+    predictions = []
+    for block in blocks(len(xs), n):
+        votes = vote_scores(xs[block], task.backend_plus, task.backend_minus, task.u, n, rng)
+        predictions += [
+            Prediction(label=1 if score >= 0 else -1, score=score, votes=tuple(row))
+            for score, row in zip(votes.mean(axis=1).tolist(), votes.tolist())
+        ]
+    return predictions
 
 
 def evaluate(dataset, task, n: int = 5, rng: np.random.Generator | None = None) -> float:
@@ -89,10 +83,5 @@ def evaluate(dataset, task, n: int = 5, rng: np.random.Generator | None = None) 
     dataset = list(dataset)
     if not dataset:
         raise InvalidArgumentError("cannot evaluate on an empty dataset")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    xs = [x for x, _ in dataset]
-    correct = 0
-    for block in blocks(len(dataset), n):
-        predictions = predict(xs[block], task, n, rng)
-        correct += sum(p.label == y for p, (_, y) in zip(predictions, dataset[block]))
-    return correct / len(dataset)
+    predictions = predict([x for x, _ in dataset], task, n, rng)
+    return sum(p.label == y for p, (_, y) in zip(predictions, dataset)) / len(dataset)

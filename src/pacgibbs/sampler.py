@@ -15,11 +15,12 @@ run, so the sampler consumes exactly the random numbers, in the same
 order, as a loop making one attempt at a time, and leaves the generator
 in the same state.
 
-The first chunk of every example holds ``n_draws`` attempts whatever
-happens, so :func:`first_chunks` proposes and tilts the first chunks of
-many examples, each from its own generator, as one stack.
-:func:`rejection_sample` then continues each example from its first
-chunk, and proposes more only for examples still short of draws.
+:func:`chunks` proposes and tilts every chunk.  The first chunk of every
+example holds ``n_draws`` attempts whatever happens, so a sampling pass
+draws the first chunks of many examples, each from its own generator,
+as one stack of at most ``BLOCK_ROWS`` rows.  :func:`rejection_sample`
+then continues each example from its first chunk, and draws later
+chunks, one example at a time, only for examples still short of draws.
 
 Tilt weights: every labeled example is weighted by its expected
 misclassification and every unlabeled one by its expected disagreement,
@@ -83,6 +84,16 @@ class HiddenSampleSet:
     attempts: int = 0
 
 
+BLOCK_ROWS = 1024  # stacked proposal rows (votes, or first-chunk attempts) per stack
+
+
+def blocks(count: int, n: int) -> list[slice]:
+    """Consecutive slices of ``count`` inputs, each at most ``BLOCK_ROWS`` rows
+    of ``n`` per input (and at least one input)."""
+    step = max(1, BLOCK_ROWS // max(n, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def width_groups(
     xs, backend_plus: GenerativeBackend, backend_minus: GenerativeBackend
 ) -> tuple[list[int], list[list[int]]]:
@@ -91,7 +102,7 @@ def width_groups(
     A group is the ascending list of indices of one width (for sequences:
     of one length); groups come in order of first appearance.  Only the
     inputs of one group may be stacked in a :func:`propose` or
-    :func:`first_chunks` call.
+    :func:`chunks` call.
     """
     widths = [backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) for x in xs]
     groups: dict[int, list[int]] = {}
@@ -129,23 +140,29 @@ def propose(
 
 
 def tilt_exponents(
-    phi_bar: np.ndarray, y: int | np.ndarray | None, u: np.ndarray, cfg: TiltConfig
+    phi_bar: np.ndarray, ys: np.ndarray, u: np.ndarray, cfg: TiltConfig
 ) -> np.ndarray:
     """Log acceptance probabilities of k proposals (rows of ``phi_bar``); all <= 0.
 
-    Labeled examples are weighted by the expected misclassification,
-    unlabeled ones by the expected disagreement (halved, matching the
-    1/(2 m_u) weight in the tilt definition).  ``y`` is the label of
-    every row, None for unlabeled rows, or an array of k row labels.
+    ``ys`` holds the k row labels, 0 for unlabeled rows.  Labeled rows are
+    weighted by the expected misclassification, unlabeled ones by the
+    expected disagreement (halved, matching the 1/(2 m_u) weight in the
+    tilt definition).  Either weight is computed only if it has rows.
     """
+    exponents = np.zeros(phi_bar.shape[0])
     if cfg.C == 0.0:
-        return np.zeros(phi_bar.shape[0])
+        return exponents
     a = row_dots(u, phi_bar)
-    weight = phi_tail(a) * phi_tail(-a) if y is None else phi_tail(y * a)
-    return -cfg.C * weight
+    labeled = ys != 0
+    if labeled.any():
+        exponents[labeled] = -cfg.C * phi_tail(ys[labeled] * a[labeled])
+    if not labeled.all():
+        a = a[~labeled]
+        exponents[~labeled] = -cfg.C * (phi_tail(a) * phi_tail(-a))
+    return exponents
 
 
-def first_chunks(
+def chunks(
     xs,
     ys,
     backend_plus: GenerativeBackend,
@@ -154,30 +171,23 @@ def first_chunks(
     cfg: TiltConfig,
     rngs,
     posts: tuple,
+    k: int,
 ) -> list[tuple]:
-    """The first chunk of ``cfg.n_draws`` attempts of each input in ``xs``, as one stack.
+    """A chunk of ``k`` proposed and tilted attempts of each input in ``xs``, as one stack.
 
-    Input ``i`` (label ``ys[i]``, None if unlabeled) draws its uniforms
-    from ``rngs[i]``, as :func:`rejection_sample` would, so the inputs
-    must share their uniforms per draw.  ``posts`` holds both models'
-    posteriors of ``xs``.  Returns one ``(accept_uniforms, (h_plus,
-    h_minus, phi_bar, exponents))`` per input, for the ``first``
-    argument of :func:`rejection_sample`.
+    Input ``i`` (label ``ys[i]``, None if unlabeled) draws its ``(k,
+    U_plus + U_minus + 1)`` uniforms from ``rngs[i]``, the accept test's
+    last in each row, so the inputs must share their uniforms per draw.
+    ``posts`` holds both models' posteriors of ``xs``.  Returns one
+    ``(accept_uniforms, (h_plus, h_minus, phi_bar, exponents))`` per input.
     """
-    n = cfg.n_draws
     width = backend_plus.uniforms_per_draw(xs[0]) + backend_minus.uniforms_per_draw(xs[0])
-    uniforms = np.concatenate([rng.random((n, width + 1)) for rng in rngs])
+    uniforms = np.concatenate([rng.random((k, width + 1)) for rng in rngs])
     h_plus, h_minus, phi_bar = propose(xs, backend_plus, backend_minus, posts, uniforms[:, :-1])
-    labeled = np.repeat([y is not None for y in ys], n)
-    exponents = np.empty(len(phi_bar))
-    exponents[labeled] = tilt_exponents(
-        phi_bar[labeled], np.repeat([y for y in ys if y is not None], n), u, cfg
-    )
-    exponents[~labeled] = tilt_exponents(phi_bar[~labeled], None, u, cfg)
-    rows = [slice(i * n, (i + 1) * n) for i in range(len(xs))]
-    return [
-        (uniforms[r, -1], (h_plus[r], h_minus[r], phi_bar[r], exponents[r])) for r in rows
-    ]
+    labels = np.repeat([0 if y is None else y for y in ys], k)
+    exponents = tilt_exponents(phi_bar, labels, u, cfg)
+    rows = [slice(i * k, (i + 1) * k) for i in range(len(xs))]
+    return [(uniforms[r, -1], (h_plus[r], h_minus[r], phi_bar[r], exponents[r])) for r in rows]
 
 
 def rejection_sample(
@@ -198,16 +208,15 @@ def rejection_sample(
     attempt budget runs out first, the n_draws proposals with the largest
     exponents seen so far are kept and the result is flagged degraded.
     ``posts`` holds both models' posteriors of ``x`` as stacks of one;
-    without it they are computed here.  ``first`` is a first chunk that
-    :func:`first_chunks` already drew from ``rng``; sampling continues
-    from it, with ``rng`` in the state it left.
+    without it they are computed here.  ``first`` is a first chunk of
+    ``cfg.n_draws`` attempts that :func:`chunks` already drew from
+    ``rng``; sampling continues from it, with ``rng`` in the state it left.
     """
     xs = [x]
     if posts is None:
         posts = (backend_plus.approx_posterior(xs), backend_minus.approx_posterior(xs))
-    n_uniforms = backend_plus.uniforms_per_draw(x) + backend_minus.uniforms_per_draw(x) + 1
 
-    chunks = []  # (h_plus, h_minus, phi_bar, exponents) of each chunk of proposals
+    drawn = []  # (h_plus, h_minus, phi_bar, exponents) of each chunk of proposals
     accepted: list[int] = []  # attempt indices
     best: list[tuple[float, int]] = []  # min-heap of (exponent, attempt index)
     attempts = 0
@@ -215,13 +224,9 @@ def rejection_sample(
         # Each of these attempts runs whatever the earlier ones in the chunk decide.
         k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
         if first is None:
-            uniforms = rng.random((k, n_uniforms))
-            chunk = propose(xs, backend_plus, backend_minus, posts, uniforms[:, :-1])
-            chunk += (tilt_exponents(chunk[2], y, u, cfg),)
-            accept_uniforms = uniforms[:, -1]
-        else:
-            (accept_uniforms, chunk), first = first, None
-        chunks.append(chunk)
+            (first,) = chunks(xs, [y], backend_plus, backend_minus, u, cfg, [rng], posts, k)
+        (accept_uniforms, chunk), first = first, None
+        drawn.append(chunk)
         exponents = chunk[3]
         accepts = np.log(accept_uniforms) < exponents
         accepted += (attempts + np.flatnonzero(accepts)).tolist()
@@ -233,7 +238,7 @@ def rejection_sample(
                 heapq.heappushpop(best, entry)
         attempts += k
 
-    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*chunks))
+    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*drawn))
     keep = accepted
     degraded = len(accepted) < cfg.n_draws
     if degraded:

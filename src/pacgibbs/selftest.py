@@ -248,7 +248,8 @@ def _enumerate_tilt(x, y, u, cfg, plus, minus):
         bp.feature_block([x], h_p[ip], bp.approx_posterior([x])),
         bm.feature_block([x], h_m[im], bm.approx_posterior([x])),
     )
-    mass = w_p[ip] * w_m[im] * np.exp(tilt_exponents(phi_bar, y, u, cfg))
+    labels = np.full(len(phi_bar), 0 if y is None else y)
+    mass = w_p[ip] * w_m[im] * np.exp(tilt_exponents(phi_bar, labels, u, cfg))
     z_norm = sum(mass.tolist())
     probs = {(keys_p[a], keys_m[b]): w / z_norm for a, b, w in zip(ip, im, mass.tolist())}
     return probs, z_norm

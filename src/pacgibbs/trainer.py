@@ -2,8 +2,9 @@
 
 One outer iteration: (E) draw hidden-sample sets from the tilted
 posterior of every training example; (M1) re-estimate the positive
-model from hidden draws of positive-labeled examples and the negative
-model from negative-labeled ones; (M2) take one gradient step on the
+model from the stacked hidden draws of positive-labeled examples, one
+``(x, draws)`` pair per example, and the negative model from
+negative-labeled ones; (M2) take one gradient step on the
 weight-posterior mean ``u``; (M3) optionally step the trade-off
 constant ``C``.  The loop stops when the surrogate objective changes by
 less than ``convergence_tol`` for three consecutive iterations.  Each
@@ -41,8 +42,8 @@ from .bounds import (
 )
 from .errors import InvalidArgumentError, TrainingAbort
 from .features import GenerativeBackend
-from .predictor import blocks, evaluate
-from .sampler import TiltConfig, first_chunks, rejection_sample, width_groups
+from .predictor import evaluate
+from .sampler import TiltConfig, blocks, chunks, rejection_sample, width_groups
 
 C_UPDATE_MODES = ("gradient", "cross_validation", "fixed")
 MIN_C = 1e-3
@@ -118,10 +119,10 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
     """One sampling pass; example ``i`` (labeled first) draws from ``derive_rng(seed, *key, i)``.
 
     Examples that use as many uniforms per draw (for sequences: of one
-    length) are handled in stacks of at most ``BLOCK_ROWS`` first-chunk
-    rows: one posterior call per backend, and one proposal and tilt of
-    every example's first chunk.  Each example's sampler then continues
-    from its own chunk and posterior slice.
+    length) are handled in stacks of at most ``sampler.BLOCK_ROWS``
+    first-chunk rows: one posterior call per backend, and one proposal
+    and tilt of every example's first chunk.  Each example's sampler then
+    continues from its own chunk and posterior slice.
     """
     xs = [x for x, _ in S_l] + list(S_u)
     ys = [y for _, y in S_l] + [None] * len(S_u)
@@ -132,7 +133,8 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
             stack = [xs[i] for i in idx]
             posts = (bp.approx_posterior(stack), bm.approx_posterior(stack))
             rngs = [derive_rng(seed, *key, i) for i in idx]
-            firsts = first_chunks(stack, [ys[i] for i in idx], bp, bm, u, tcfg, rngs, posts)
+            labels = [ys[i] for i in idx]
+            firsts = chunks(stack, labels, bp, bm, u, tcfg, rngs, posts, tcfg.n_draws)
             for j, i in enumerate(idx):
                 sets[i] = rejection_sample(
                     xs[i], ys[i], bp, bm, u, tcfg, rngs[j],
@@ -332,16 +334,12 @@ def train(
                 f"budget (>{DEGRADED_ABORT_FRACTION:.0%}); lower C or raise max_attempts"
             )
 
-        plus_samples = [
-            (x, h, 1.0) for (x, y), s in zip(S_l, sets_l) if y == 1 for h in s.h_plus
-        ]
-        minus_samples = [
-            (x, h, 1.0) for (x, y), s in zip(S_l, sets_l) if y == -1 for h in s.h_minus
-        ]
-        if plus_samples:
-            bp.update_parameters(plus_samples)
-        if minus_samples:
-            bm.update_parameters(minus_samples)
+        plus_draws = [(x, s.h_plus) for (x, y), s in zip(S_l, sets_l) if y == 1]
+        minus_draws = [(x, s.h_minus) for (x, y), s in zip(S_l, sets_l) if y == -1]
+        if plus_draws:
+            bp.update_parameters(plus_draws)
+        if minus_draws:
+            bm.update_parameters(minus_draws)
 
         labeled, unlabeled = _feature_batches(S_l, sets_l, sets_u, (n, dim))
         report = _evaluate(

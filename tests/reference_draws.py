@@ -1,9 +1,10 @@
 """Per-input, per-draw reference implementations of the stacked paths.
 
 These are the loops that stacking replaced: one input's posteriors at a
-time, and one hidden draw, one feature vector and one random number at a
-time.  The bit-identity tests compare the package's stacked posteriors,
-sampler and predictor with them.  The joint and marginal densities are
+time; one hidden draw, one feature vector and one random number at a
+time; and M-steps over one weighted (x, h, w) triple per draw.  The
+bit-identity tests compare the package's stacked posteriors, sampler,
+predictor and M-steps with them.  The joint and marginal densities are
 test oracles the package does not need.
 """
 
@@ -16,8 +17,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from pacgibbs.errors import InvalidFeatureError
-from pacgibbs.gmm import GmmBackend
-from pacgibbs.hmm import HmmBackend, HmmPosterior, _check_tokens, _floor_rows
+from pacgibbs.gmm import _PI_FLOOR, GmmBackend
+from pacgibbs.hmm import HmmBackend, HmmParams, HmmPosterior, _check_tokens, _floor_rows
 from pacgibbs.numerics import phi_tail
 from pacgibbs.sampler import HiddenSampleSet
 
@@ -77,6 +78,25 @@ def feature_block_gmm(x, z, a):
     return (z[:, None] * per_comp).ravel()
 
 
+def m_step_gmm(samples, previous, variance_floor):
+    """Weighted re-estimation from one (x, z, weight) triple per draw."""
+    xs = np.stack([np.asarray(x, float) for x, _, _ in samples])
+    zs = np.stack([z for _, z, _ in samples])
+    ws = np.array([w for _, _, w in samples], dtype=float)
+    mass = (ws[:, None] * zs).sum(axis=0)
+    new = previous.copy()
+    new.weights = np.maximum(mass / ws.sum(), _PI_FLOOR)
+    new.weights /= new.weights.sum()
+    for k in np.flatnonzero(mass > 0.0):
+        wk = ws * zs[:, k]
+        mu = (wk[:, None] * xs).sum(axis=0) / mass[k]
+        diff = xs - mu
+        var = (wk[:, None] * diff * diff).sum(axis=0) / mass[k]
+        new.means[k] = mu
+        new.variances[k] = np.maximum(var, variance_floor)
+    return new
+
+
 def _gmm_log_joint_terms(x, params):
     x = np.asarray(x, float)
     diff = x[None, :] - params.means
@@ -132,6 +152,34 @@ def feature_block_hmm(x, q, transition_post, n_symbols):
             (trans_counts * np.log(transition_post)).ravel(),
             emit_counts.ravel(),
         ]
+    )
+
+
+def m_step_hmm(samples, previous, prob_floor):
+    """Weighted re-estimation from one (x, q, weight) triple per draw."""
+    M, K = previous.n_states, previous.n_symbols
+    init_counts = np.zeros(M)
+    trans_counts = np.zeros((M, M))
+    emit_counts = np.zeros((M, K))
+    for x, q, w in samples:
+        x = np.asarray(x, dtype=int)
+        q = np.asarray(q, dtype=int)
+        init_counts[q[0]] += w
+        np.add.at(trans_counts, (q[:-1], q[1:]), w)
+        np.add.at(emit_counts, (q, x), w)
+
+    def normalize(counts):
+        counts = np.atleast_2d(counts)
+        out = np.empty_like(counts, dtype=float)
+        for i, row in enumerate(counts):
+            s = row.sum()
+            out[i] = row / s if s > 0 else np.full(row.shape, 1.0 / row.size)
+        return _floor_rows(out, prob_floor)
+
+    return HmmParams(
+        initial=normalize(init_counts)[0],
+        transition=normalize(trans_counts),
+        emission=normalize(emit_counts),
     )
 
 

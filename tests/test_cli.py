@@ -423,6 +423,24 @@ class TestBenchmarkCommand:
         sizes = [row.split(",")[1] for row in rows[1:]]
         assert sizes == ["6", "20", "6", "20"]
 
+    @pytest.mark.parametrize("sizes", ["0", "-3", "6,x"])
+    def test_bad_learning_curve_sizes_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, sizes
+    ):
+        """A size below 2 (one example per class) or not an integer fails
+        with the key's name before any unit trains or writes results."""
+        monkeypatch.setattr(cli, "multi_restart_train", lambda *a: pytest.fail("trained"))
+        data = write_vector_file(tmp_path / "d.csv", n_per_class=20, seed=4)
+        out = tmp_path / "out"
+        code = run_cli(
+            "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+            "--set", "data.n_partitions=2", "--set", f"benchmark.learning_curve_sizes={sizes}",
+            *[f"--set={o}" for o in FAST_OVERRIDES]
+        )
+        assert code == 2
+        assert "benchmark.learning_curve_sizes" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
 
 class TestHmmBackendCommands:
     def test_train_and_predict_on_sequences(self, tmp_path, capsys):

@@ -133,7 +133,7 @@ class TestMStep:
     def test_degenerate_cluster(self):
         prev = make_params([0.5, 0.5], [[0.0], [1.0]], [[1.0], [1.0]])
         floor = np.array([1e-4])
-        samples = [(np.array([2.5]), np.array([1.0, 0.0]), 1.0) for _ in range(10)]
+        samples = [(np.array([2.5]), np.tile([1.0, 0.0], (10, 1)))]
         new = m_step_gmm(samples, prev, floor)
         assert new.means[0] == pytest.approx([2.5])
         assert new.variances[0] == pytest.approx(floor)
@@ -144,8 +144,8 @@ class TestMStep:
     def test_even_split(self):
         prev = make_params([0.5, 0.5], [[0.0], [0.0]], [[1.0], [1.0]])
         samples = [
-            (np.array([-1.0]), np.array([1.0, 0.0]), 1.0),
-            (np.array([1.0]), np.array([0.0, 1.0]), 1.0),
+            (np.array([-1.0]), np.array([[1.0, 0.0]])),
+            (np.array([1.0]), np.array([[0.0, 1.0]])),
         ]
         new = m_step_gmm(samples, prev, np.array([1e-6]))
         assert new.weights == pytest.approx([0.5, 0.5])
@@ -160,10 +160,10 @@ class TestMStep:
             k = rng.choice(2, p=true.weights)
             x = rng.normal(true.means[k, 0], 1.0, size=1)
             a = responsibilities([x], true)
-            zs.append(sample_z(a, rng.random(1))[0])
+            zs.append(sample_z(a, rng.random(1)))
             xs.append(x)
         prev = make_params([0.5, 0.5], [[-1.0], [1.0]], [[1.0], [1.0]])
-        new = m_step_gmm(list(zip(xs, zs, [1.0] * 200)), prev, np.array([1e-6]))
+        new = m_step_gmm(list(zip(xs, zs)), prev, np.array([1e-6]))
         assert abs(new.means[0, 0] - (-2.0)) < 0.2
         assert abs(new.means[1, 0] - 2.0) < 0.2
 
@@ -193,7 +193,7 @@ class TestMonteCarloEm:
                 for x in data:
                     a = backend.approx_posterior([x])
                     zs = backend.sample_hidden([x], a, srng.random((n_draws, 1)))
-                    samples.extend((x, z, 1.0) for z in zs)
+                    samples.append((x, zs))
                 backend.update_parameters(samples)
                 curve.append(marginal_log_likelihood_gmm(backend.params, data))
             curves.append(curve)

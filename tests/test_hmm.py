@@ -210,7 +210,7 @@ class TestMStep:
         prev = random_params(2, 2, np.random.default_rng(6))
         x = np.array([0, 1, 1])
         q = np.array([0, 1, 1])
-        new = m_step_hmm([(x, q, 1.0)], prev, prob_floor=1e-8)
+        new = m_step_hmm([(x, q[None])], prev, prob_floor=1e-8)
         assert new.initial[0] == pytest.approx(1.0, abs=1e-7)
         assert new.transition[0, 1] == pytest.approx(1.0, abs=1e-7)
         assert new.transition[1, 1] == pytest.approx(1.0, abs=1e-7)
@@ -220,9 +220,7 @@ class TestMStep:
     def test_opposite_paths_average(self):
         prev = random_params(2, 2, np.random.default_rng(7))
         x = np.array([0, 1])
-        new = m_step_hmm(
-            [(x, np.array([0, 1]), 1.0), (x, np.array([0, 0]), 1.0)], prev, prob_floor=1e-8
-        )
+        new = m_step_hmm([(x, np.array([[0, 1], [0, 0]]))], prev, prob_floor=1e-8)
         assert new.transition[0] == pytest.approx([0.5, 0.5], abs=1e-7)
 
     def test_monte_carlo_recovery(self):
@@ -236,7 +234,7 @@ class TestMStep:
         for _ in range(500):
             x = sample_hmm_sequence(true, 12, rng)
             post = forward_backward([x], true)
-            samples.append((x, sample_paths(true, post, rng.random((1, x.size)))[0], 1.0))
+            samples.append((x, sample_paths(true, post, rng.random((1, x.size)))))
         prev = random_params(2, 2, np.random.default_rng(9))
         new = m_step_hmm(samples, prev, prob_floor=1e-8)
         assert np.abs(new.transition - true.transition).max() < 0.1
@@ -244,10 +242,7 @@ class TestMStep:
     def test_row_stochasticity_preserved(self):
         rng = np.random.default_rng(10)
         prev = random_params(3, 4, rng)
-        samples = [
-            (rng.integers(0, 4, size=5), rng.integers(0, 3, size=5), float(w))
-            for w in rng.random(6) + 0.5
-        ]
+        samples = [(rng.integers(0, 4, size=5), rng.integers(0, 3, size=(1, 5))) for _ in range(6)]
         new = m_step_hmm(samples, prev, prob_floor=1e-8)
         assert new.initial.sum() == pytest.approx(1.0, abs=1e-10)
         assert new.transition.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-10)

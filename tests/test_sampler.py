@@ -19,7 +19,7 @@ def unit_feature(vec):
 
 def tilt_exponent(phi_bar, y, u, cfg):
     """The exponent of a one-row stack's only draw."""
-    (exponent,) = tilt_exponents(phi_bar, y, u, cfg)
+    (exponent,) = tilt_exponents(phi_bar, np.array([0 if y is None else y]), u, cfg)
     return exponent
 
 

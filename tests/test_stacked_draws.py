@@ -14,7 +14,7 @@ import pytest
 from scipy.special import logsumexp
 
 import reference_draws as ref
-from pacgibbs import predictor, sampler
+from pacgibbs import sampler
 from pacgibbs.cli import _format_float, main
 from pacgibbs.gmm import GmmBackend, GmmParams, _logsumexp
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward, sample_paths
@@ -314,12 +314,12 @@ class TestFilePredictionMatchesLoop:
 
     @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
     def test_evaluate_crosses_block_boundaries(self, make_pair, make_inputs, monkeypatch):
-        monkeypatch.setattr(predictor, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(sampler, "BLOCK_ROWS", 7)
         rng = np.random.default_rng(86)
         task = random_task(make_pair, rng)
         xs = make_inputs(task, 11, rng)
         dataset = list(zip(xs, rng.choice([-1, 1], size=len(xs)).tolist()))
-        assert len(predictor.blocks(len(xs), 3)) == 6
+        assert len(sampler.blocks(len(xs), 3)) == 6
         rng_new, rng_old = np.random.default_rng(1), np.random.default_rng(1)
         old = reference_predictions(xs, task, 3, rng_old)
         expected = sum(label == y for (_, _, label), (_, y) in zip(old, dataset)) / len(xs)
@@ -332,7 +332,7 @@ class TestFilePredictionMatchesLoop:
         """The predict command's rows equal the per-input loop's on a file
         of more rows than one block holds, with the stream running on
         across the blocks."""
-        monkeypatch.setattr(predictor, "BLOCK_ROWS", 5)
+        monkeypatch.setattr(sampler, "BLOCK_ROWS", 5)
         rng = np.random.default_rng(87 + n)
         labels = rng.choice(["a", "b"], size=13).tolist()
         if kind == "gmm":
@@ -346,7 +346,7 @@ class TestFilePredictionMatchesLoop:
             xs = hmm_inputs(task, 13, rng, lengths=(2, 3, 9))
             lines = [f"{y}," + "".join(alphabet[t] for t in x) for x, y in zip(xs, labels)]
             save_model(str(tmp_path / "m.bin"), task, "hmm", alphabet=alphabet)
-        assert len(predictor.blocks(len(xs), n)) > 2
+        assert len(sampler.blocks(len(xs), n)) > 2
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
         settings = [f"data.path={tmp_path / 'data.csv'}", f"run.output_dir={tmp_path / 'out'}",
                     f"predict.n={n}", "trainer.seed=17", f"run.backend={kind}"]
@@ -490,9 +490,9 @@ class TestSamplingPassMatchesLoop:
             mixed = [y for x, y in S_l if len(x) == L] + [None for x in S_u if len(x) == L]
             assert {1, -1, None} <= set(mixed), L
         cfg = TiltConfig(C=4.0, n_draws=3, max_attempts=9)
-        for block_rows in (predictor.BLOCK_ROWS, 7):
+        for block_rows in (sampler.BLOCK_ROWS, 7):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(predictor, "BLOCK_ROWS", block_rows)
+                mp.setattr(sampler, "BLOCK_ROWS", block_rows)
                 assert_pass_matches_loop(
                     S_l, S_u, task.backend_plus, task.backend_minus, task.u * 3.0, cfg
                 )
@@ -501,7 +501,7 @@ class TestSamplingPassMatchesLoop:
     def test_untilted_pass_proposes_once_per_stack(self, make_pair, make_inputs, monkeypatch):
         """In a C = 0 pass every example accepts its first chunk, so the only
         proposals are one stacked call per width group and block."""
-        monkeypatch.setattr(predictor, "BLOCK_ROWS", 8)
+        monkeypatch.setattr(sampler, "BLOCK_ROWS", 8)
         rng = np.random.default_rng(96)
         S_l, S_u, task = pass_examples(make_pair, make_inputs, 15, 7, rng)
         bp, bm = task.backend_plus, task.backend_minus
@@ -514,9 +514,9 @@ class TestSamplingPassMatchesLoop:
         xs = [x for x, _ in S_l] + S_u
         widths = [bp.uniforms_per_draw(x) + bm.uniforms_per_draw(x) for x in xs]
         groups = [widths.count(w) for w in dict.fromkeys(widths)]
-        assert len(calls) == sum(len(predictor.blocks(size, 3)) for size in groups)
+        assert len(calls) == sum(len(sampler.blocks(size, 3)) for size in groups)
         assert len(calls) < len(xs) and sum(calls) == len(xs)
-        assert max(calls) <= predictor.BLOCK_ROWS // 3
+        assert max(calls) <= sampler.BLOCK_ROWS // 3
 
 
 class TestWidthGroups:
@@ -533,3 +533,74 @@ class TestWidthGroups:
             assert len({len(xs[i]) for i in idx}) == 1
         assert [idx[0] for idx in groups] == sorted(idx[0] for idx in groups)
         assert len(groups) == len({len(x) for x in xs})
+
+
+def per_draw(pairs):
+    """The (x, h, 1.0) triples, one per draw, of (x, draws) pairs."""
+    return [(x, h, 1.0) for x, draws in pairs for h in draws]
+
+
+class TestStackedMStepsMatchPerDraw:
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+    def test_gmm_components_with_and_without_draws(self, K):
+        rng = np.random.default_rng(110 + K)
+        emptied = 0
+        for trial in range(20):
+            d = int(rng.integers(1, 5))
+            prev = random_gmm(K, d, rng).params
+            drawn = rng.permutation(K)[: int(rng.integers(1, K + 1))]
+            pairs = []
+            for _ in range(int(rng.integers(1, 12))):
+                z = np.zeros((int(rng.integers(1, 7)), K))
+                z[np.arange(len(z)), rng.choice(drawn, size=len(z))] = 1.0
+                pairs.append((rng.normal(size=d) * 3.0, z))
+            floor = np.full(d, (1e-8, 0.5)[trial % 2])
+            backend = GmmBackend(prev, variance_floor=floor)
+            backend.update_parameters(pairs)
+            old = ref.m_step_gmm(per_draw(pairs), prev, floor)
+            assert_same_fields(backend.params, old, ("weights", "means", "variances"))
+            empty = np.flatnonzero(sum(z.sum(axis=0) for _, z in pairs) == 0)
+            assert bits(backend.params.means[empty]) == bits(prev.means[empty])
+            emptied += empty.size > 0
+        assert emptied > 0 or K == 1
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 8, 9, 16])
+    def test_hmm_mixed_lengths_and_unvisited_states(self, M):
+        rng = np.random.default_rng(120 + M)
+        unvisited = 0
+        for trial in range(20):
+            n_symbols = int(rng.integers(1, 8))
+            prev = random_hmm_params(M, n_symbols, rng)
+            # Paths and tokens from subsets leave states and symbols unvisited.
+            states = rng.permutation(M)[: int(rng.integers(1, M + 1))]
+            symbols = rng.permutation(n_symbols)[: int(rng.integers(1, n_symbols + 1))]
+            pairs = []
+            for L in rng.choice([1, 2, 3, 7, 15], size=int(rng.integers(1, 10))):
+                x = rng.choice(symbols, size=int(L))
+                pairs.append((x, rng.choice(states, size=(int(rng.integers(1, 7)), int(L)))))
+            prob_floor = (1e-8, 0.0)[trial % 2]
+            backend = HmmBackend(prev, prob_floor)
+            backend.update_parameters(pairs)
+            old = ref.m_step_hmm(per_draw(pairs), prev, prob_floor)
+            assert_same_fields(backend.params, old, ("initial", "transition", "emission"))
+            unvisited += len(states) < M or len(symbols) < n_symbols
+        assert unvisited > 0
+
+
+class TestTiltExponents:
+    @pytest.mark.parametrize("C", [0.0, 0.7, 60.0])
+    def test_mixed_labels_equal_per_row_exponents(self, C):
+        rng = np.random.default_rng(130)
+        k, D = 40, 9
+        phi = rng.normal(size=(k, D))
+        phi_bar = phi / np.linalg.norm(phi, axis=1, keepdims=True)
+        labels = rng.choice([1, -1, 0], size=k)
+        u = rng.normal(size=D) * 4.0
+        cfg = TiltConfig(C=C)
+        got = sampler.tilt_exponents(phi_bar, labels, u, cfg)
+        expected = [
+            ref.tilt_exponent(ref.Feature(row, row), None if y == 0 else int(y), u, cfg)
+            for row, y in zip(phi_bar, labels)
+        ]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
+        assert {1, -1, 0} <= set(labels.tolist())

@@ -166,7 +166,7 @@ class TestTrain:
                 self._key = key
 
             def update_parameters(self, samples):
-                seen[self._key].extend(np.asarray(x)[0] for x, _, _ in samples)
+                seen[self._key].extend(np.asarray(x)[0] for x, _ in samples)
                 super().update_parameters(samples)
 
             def clone(self):

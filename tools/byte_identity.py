@@ -14,13 +14,16 @@ and removes it at the end.  The inputs come from this checkout's
 the same files.
 
 The recipe, for perfbench's seed-101 and seed-102 inputs of both
-workloads, with each workload's own settings (93 outputs):
+workloads, with each workload's own settings (117 outputs):
 
 - in semi and supervised mode: ``model.bin``, ``telemetry.csv``, stdout
   and stderr of ``train``; ``predictions.csv`` and stdout of
   ``predict``; stdout of ``bound-report``;
 - hmm-semi also at ``hmm.states=10`` and ``hmm.states=16`` (semi
   ``train`` and ``predict``);
+- semi ``train`` and ``predict`` at ``tilt.n_draws=40`` and
+  ``predict.n=40``: 25 inputs per stack of ``sampler.BLOCK_ROWS`` rows,
+  so training passes and ``predict`` span several stacks;
 - ``benchmark`` with ``data.n_partitions=2`` and
   ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``
   and ``results.csv`` without its ``wall_seconds`` column;
@@ -51,6 +54,7 @@ from workloads import WORKLOADS  # noqa: E402
 SEEDS = (101, 102)
 CLI = "import sys; from pacgibbs.cli import main; sys.exit(main(sys.argv[1:]))"
 BENCHMARK = ("data.n_partitions=2", "benchmark.learning_curve_sizes=6,10")
+BLOCKS = ("tilt.n_draws=40", "predict.n=40")
 
 
 def sha256(data: bytes) -> str:
@@ -126,6 +130,7 @@ class Recipe:
             for states in (10, 16):
                 common = (*w.common, f"hmm.states={states}")
                 self.train_and_predict(prefix, f"semi{states}", common, w.train, False)
+        self.train_and_predict(prefix, "blocks", (*w.common, *BLOCKS), w.train, False)
         self.benchmark(prefix, w.common, w.benchmark or w.train)
 
     def all(self) -> dict[str, str]:
