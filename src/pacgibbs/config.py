@@ -96,6 +96,8 @@ class RunConfig:
         for key, allowed in _ENUMS.items():
             if self.values[key] not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {self.values[key]!r}")
+        if not self.values["data.delimiter"]:
+            raise ConfigError("data.delimiter must not be empty")
         for key in ("gmm.components", "hmm.states", "predict.n"):
             if self.values[key] < 1:
                 raise ConfigError(f"{key} must be at least 1, got {self.values[key]}")

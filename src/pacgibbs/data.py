@@ -93,6 +93,8 @@ def load_vectors(
     has_header: bool = False,
 ) -> Dataset:
     """Parse a delimited vector file; errors carry the offending line number."""
+    if not delimiter:
+        raise InvalidArgumentError("delimiter must not be empty")
     rows: list[np.ndarray] = []
     raw_labels: list[str] = []
     width = None
@@ -139,6 +141,8 @@ def load_sequences(
     alphabet: str | None = None,
 ) -> Dataset:
     """Parse ``label,LETTERS`` rows into integer token sequences."""
+    if not delimiter:
+        raise InvalidArgumentError("delimiter must not be empty")
     raw: list[tuple[int, str, str]] = []  # (line number, label, letters)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -50,16 +50,15 @@ def assemble(blocks_plus: np.ndarray, blocks_minus: np.ndarray) -> tuple[np.ndar
 class GenerativeBackend(ABC):
     """Contract every class-conditional generative model must satisfy.
 
-    The inference methods take a stack of B inputs ``xs`` (a list; one
-    input is a stack of one).  ``approx_posterior(xs)`` returns their
-    posteriors as a stack that slices like a list, ``post[i : i + 1]``
-    being input ``i``'s, and gives every input the bits of a call on
-    that input alone.  Hidden draws come in stacks too: ``sample_hidden``
-    draws k configurations per input from B*k rows of uniforms, input
-    ``i``'s in rows ``i*k`` to ``(i+1)*k - 1``, ``uniforms_per_draw(x)``
-    per row, so the inputs of one such stack must share that count.
-    Every draw is a function of its own row alone, which keeps the draws
-    of a stack equal to single draws from the same uniforms in turn.
+    Each inference method takes one ``sampler.width_groups`` group: a
+    list ``xs`` of B inputs with one ``uniforms_per_draw`` (for sequences:
+    one length).  ``approx_posterior(xs)`` returns one stacked posterior
+    whose first axis is the input, ``post[i : i + 1]`` being input
+    ``i``'s, and gives every input the bits of a call on it alone.
+    ``sample_hidden`` draws k configurations per input from B*k rows of
+    uniforms, input ``i``'s in rows ``i*k`` to ``(i+1)*k - 1``.  Every
+    draw is a function of its own row alone, which keeps the draws of a
+    stack equal to single draws from the same uniforms in turn.
 
     Parameters are immutable during a sampling pass; ``update_parameters``
     is the only mutator and must not run concurrently with inference.
@@ -78,8 +77,9 @@ class GenerativeBackend(ABC):
         """Uniforms in [0, 1) that one draw of the hidden variables of ``x`` uses."""
 
     @abstractmethod
-    def sample_hidden(self, xs, posterior, uniforms: np.ndarray):
-        """k exact draws from P(h | x) per input, one per row of the (B*k, U) ``uniforms``."""
+    def sample_hidden(self, posterior, uniforms: np.ndarray):
+        """k exact draws from P(h | x) per input of the stacked ``posterior``,
+        one per row of the (B*k, U) ``uniforms``."""
 
     @abstractmethod
     def feature_block(self, xs, h, posterior) -> np.ndarray:

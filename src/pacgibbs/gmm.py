@@ -218,7 +218,7 @@ class GmmBackend(GenerativeBackend):
     def uniforms_per_draw(self, x) -> int:
         return 1
 
-    def sample_hidden(self, xs, posterior, uniforms: np.ndarray) -> np.ndarray:
+    def sample_hidden(self, posterior, uniforms: np.ndarray) -> np.ndarray:
         return sample_z(posterior, uniforms[:, 0])
 
     def feature_block(self, xs, h, posterior) -> np.ndarray:

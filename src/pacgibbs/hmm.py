@@ -4,8 +4,9 @@ Hidden variable: a state path ``q`` (stored as an int array of state
 indices, one per time step).  Inference uses the scaled forward-backward
 recursions; exact path draws use forward-filter backward-sampling, so the
 proposal distribution is exactly P(q | x) as the rejection rule requires.
-Posteriors of a stack of sequences are computed together, one time step
-at a time for all sequences of one length.  Paths are drawn in stacks:
+Forward-backward takes one stack of equal-length sequences and runs one
+time step at a time for all of them, into one :class:`HmmPosterior`
+with a leading stack axis.  Paths are drawn in stacks:
 k paths of each of B length-L sequences use a (B*k, L) block of
 uniforms, column ``j`` for time step ``L-1-j``, in the order a single
 backward pass consumes them.
@@ -25,7 +26,7 @@ at ``PROB_FLOOR`` so the ``log Apost`` entries stay finite.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,58 +66,47 @@ class HmmParams:
 
 @dataclass
 class HmmPosterior:
-    """Exact posteriors of one sequence under fixed parameters.
+    """Exact posteriors of a stack of B equal-length sequences under fixed parameters.
 
-    gamma: per-time state marginals, shape (L, M).
-    xi: per-time pairwise marginals, shape (L-1, M, M); each slice sums to 1.
-    transition_post: row-normalized sum of xi over time (uniform rows where
-        a state carries no visit mass), floored; this is the per-example
-        posterior transition matrix whose log enters the feature block.
-    alphas: scaled forward variables, kept for backward sampling.
-    log_likelihood: log P(x) from the forward scaling constants.
+    gamma: per-time state marginals, shape (B, L, M).
+    xi: per-time pairwise marginals, shape (B, L-1, M, M); each slice sums to 1.
+    transition_post: (B, M, M) row-normalized sums of xi over time (uniform
+        rows where a state carries no visit mass), floored: the posterior
+        transition matrices whose logs enter the feature blocks.
+    alphas: (B, L, M) scaled forward variables, kept for backward sampling.
+    log_likelihood: (B,) log P(x) from the forward scaling constants.
     """
 
     gamma: np.ndarray
     xi: np.ndarray
     transition_post: np.ndarray
-    alphas: np.ndarray = field(repr=False, default=None)
-    log_likelihood: float = 0.0
+    alphas: np.ndarray
+    log_likelihood: np.ndarray
+
+    def __getitem__(self, index) -> "HmmPosterior":
+        """Every field indexed along the stack axis: a slice is a smaller stack,
+        an integer one sequence's posterior without the B axis."""
+        return HmmPosterior(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _check_tokens(x: np.ndarray, n_symbols: int) -> np.ndarray:
-    x = np.asarray(x, dtype=int)
-    if x.ndim != 1 or x.size < 1:
+def _check_tokens(xs, n_symbols: int) -> np.ndarray:
+    """The (B, L) token array of a stack of equal-length sequences."""
+    lengths = {np.size(x) for x in xs}
+    if len(lengths) > 1:
+        raise InvalidSequenceError(f"a stack of sequences needs one length, got {sorted(lengths)}")
+    X = np.asarray(xs, dtype=int)
+    if X.ndim != 2 or X.size < 1:
         raise InvalidSequenceError("sequence must be a 1-d token array of length >= 1")
-    if np.any(x < 0) or np.any(x >= n_symbols):
-        bad = int(x[(x < 0) | (x >= n_symbols)][0])
+    if np.any(X < 0) or np.any(X >= n_symbols):
+        bad = int(X[(X < 0) | (X >= n_symbols)][0])
         raise InvalidSequenceError(f"token {bad} outside alphabet of size {n_symbols}")
-    return x
+    return X
 
 
-def forward_backward(xs, params: HmmParams, prob_floor: float = PROB_FLOOR) -> list[HmmPosterior]:
-    """Scaled forward-backward passes of a stack of sequences; posteriors in input order.
+def forward_backward(xs, params: HmmParams, prob_floor: float = PROB_FLOOR) -> HmmPosterior:
+    """Posteriors of a stack of equal-length sequences, one time step at a time for all B.
 
-    Sequences of one length run their recursions together, see
-    :func:`_forward_backward_stack`.
-    """
-    xs = [_check_tokens(x, params.n_symbols) for x in xs]
-    by_length: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        by_length.setdefault(x.size, []).append(i)
-    posts: list = [None] * len(xs)
-    for idx in by_length.values():
-        stack = _forward_backward_stack(np.stack([xs[i] for i in idx]), params, prob_floor)
-        for i, post in zip(idx, stack):
-            posts[i] = post
-    return posts
-
-
-def _forward_backward_stack(
-    X: np.ndarray, params: HmmParams, prob_floor: float
-) -> list[HmmPosterior]:
-    """Posteriors of the rows of a (B, L) token array, one time step at a time for all B.
-
-    Every row gets the bits of a pass over that sequence alone: each
+    Every sequence gets the bits of a pass over that sequence alone: each
     ``alpha @ A`` is a stacked (B, 1, M) @ (M, M) product and each
     ``A @ v`` a stacked (M, M) @ (B, M, 1) one, which numpy computes with
     the same BLAS call per row as the 1-d product; each scale is one
@@ -124,6 +114,7 @@ def _forward_backward_stack(
     row with the same pairwise loop as its 1-d ``sum()``; the rest is
     elementwise or sums over time, which run in the same order.
     """
+    X = _check_tokens(xs, params.n_symbols)
     B, L = X.shape
     M = params.n_states
     A = params.transition
@@ -159,25 +150,14 @@ def _forward_backward_stack(
     occupied = row_mass > 0.0
     a_post[occupied] = counts[occupied] / row_mass[occupied][:, None]
     a_post = _floor_rows(a_post, prob_floor)
-    log_likelihood = np.log(scales).sum(axis=1).tolist()
-
-    return [
-        HmmPosterior(
-            gamma=gamma[b],
-            xi=xi[b],
-            transition_post=a_post[b],
-            alphas=alphas[b],
-            log_likelihood=log_likelihood[b],
-        )
-        for b in range(B)
-    ]
+    return HmmPosterior(gamma, xi, a_post, alphas, np.log(scales).sum(axis=1))
 
 
-def sample_paths(params: HmmParams, posteriors, uniforms: np.ndarray) -> np.ndarray:
+def sample_paths(params: HmmParams, posterior: HmmPosterior, uniforms: np.ndarray) -> np.ndarray:
     """k exact draws from P(q | x) for each of B equal-length sequences, by
     backward sampling of the forward filter.
 
-    ``posteriors`` holds the B sequences' posteriors and ``uniforms`` is
+    ``posterior`` is the B sequences' stacked posterior and ``uniforms`` is
     (B*k, L): sequence ``i`` draws with rows ``i*k`` to ``(i+1)*k - 1``,
     column ``j`` at time step ``L-1-j``.  Returns the (B*k, L) int paths
     in the same row order.  A step picks the first state whose running
@@ -187,7 +167,7 @@ def sample_paths(params: HmmParams, posteriors, uniforms: np.ndarray) -> np.ndar
     states that pairwise sum can differ in the last bit from ``cumsum``,
     so the running total's last entry is not used.
     """
-    alphas = np.stack([post.alphas for post in posteriors])  # (B, L, M)
+    alphas = posterior.alphas
     B, L, M = alphas.shape
     u = uniforms.reshape(B, -1, L)
     q = np.empty(u.shape, dtype=int)
@@ -305,21 +285,18 @@ class HmmBackend(GenerativeBackend):
         M = self.params.n_states
         return M + 2 * M * M + M * self.params.n_symbols
 
-    def approx_posterior(self, xs) -> list[HmmPosterior]:
+    def approx_posterior(self, xs) -> HmmPosterior:
         return forward_backward(xs, self.params, self.prob_floor)
 
     def uniforms_per_draw(self, x) -> int:
         return len(x)
 
-    def sample_hidden(self, xs, posterior, uniforms: np.ndarray) -> np.ndarray:
+    def sample_hidden(self, posterior, uniforms: np.ndarray) -> np.ndarray:
         return sample_paths(self.params, posterior, uniforms)
 
     def feature_block(self, xs, h, posterior) -> np.ndarray:
         return feature_block_hmm(
-            np.asarray(xs, dtype=int),
-            h,
-            np.stack([post.transition_post for post in posterior]),
-            self.params.n_symbols,
+            np.asarray(xs, dtype=int), h, posterior.transition_post, self.params.n_symbols
         )
 
     def update_parameters(self, samples) -> None:

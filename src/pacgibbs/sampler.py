@@ -53,8 +53,8 @@ class TiltConfig:
     max_attempts: int | None = None
 
     def __post_init__(self):
-        if self.C < 0:
-            raise InvalidArgumentError(f"C must be nonnegative, got {self.C}")
+        if not 0 <= self.C < np.inf:
+            raise InvalidArgumentError(f"C must be nonnegative and finite, got {self.C}")
         if self.n_draws < 1:
             raise InvalidArgumentError("n_draws must be at least 1")
         if self.max_attempts is None:
@@ -130,8 +130,8 @@ def propose(
     """
     post_plus, post_minus = posts
     n_plus = backend_plus.uniforms_per_draw(xs[0])
-    h_plus = backend_plus.sample_hidden(xs, post_plus, uniforms[:, :n_plus])
-    h_minus = backend_minus.sample_hidden(xs, post_minus, uniforms[:, n_plus:])
+    h_plus = backend_plus.sample_hidden(post_plus, uniforms[:, :n_plus])
+    h_minus = backend_minus.sample_hidden(post_minus, uniforms[:, n_plus:])
     _, phi_bar = assemble(
         backend_plus.feature_block(xs, h_plus, post_plus),
         backend_minus.feature_block(xs, h_minus, post_minus),

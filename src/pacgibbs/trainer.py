@@ -84,12 +84,15 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("gamma_u", "gamma_c", "init_range", "convergence_tol"):
-            if not getattr(self, name) > 0:
-                raise InvalidArgumentError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite")
+        # numpy draws the random starts only from a box of finite width.
+        if not 2 * self.init_range < math.inf:
+            raise InvalidArgumentError(f"2 * init_range must be finite, got {self.init_range:g}")
         # C = 0 disables the tilt entirely (plain Monte Carlo EM) and is
         # only meaningful when C is not being adapted.
-        if self.C_init < 0 or (self.C_init == 0 and self.c_update != "fixed"):
-            raise InvalidArgumentError("C_init must be positive (or 0 with c_update=fixed)")
+        if not 0 <= self.C_init < math.inf or (self.C_init == 0 and self.c_update != "fixed"):
+            raise InvalidArgumentError("C_init must be finite and positive (0 with c_update=fixed)")
         if not 0.0 < self.u0_fraction <= 1.0:
             raise InvalidArgumentError("u0_fraction must lie in (0, 1]")
         if not 0.0 < self.delta <= 1.0:

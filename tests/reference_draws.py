@@ -185,7 +185,7 @@ def m_step_hmm(samples, previous, prob_floor):
 
 def forward_backward(x, params, prob_floor):
     """Scaled forward-backward pass over one sequence."""
-    x = _check_tokens(x, params.n_symbols)
+    x = _check_tokens([x], params.n_symbols)[0]
     L, M = x.size, params.n_states
     emit = params.emission[:, x]  # (M, L)
 
@@ -224,7 +224,7 @@ def forward_backward(x, params, prob_floor):
         xi=xi,
         transition_post=a_post,
         alphas=alphas,
-        log_likelihood=float(np.log(scales).sum()),
+        log_likelihood=np.log(scales).sum(),
     )
 
 

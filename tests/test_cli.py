@@ -152,6 +152,32 @@ class TestConfig:
         assert f"data.label_column={column}" in err
         assert "line 1" in err
 
+    @pytest.mark.parametrize("backend", ["gmm", "hmm"])
+    def test_empty_delimiter_names_key(self, tmp_path, capsys, backend):
+        data, overrides = small_task(tmp_path, backend)
+        out = tmp_path / "out"
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+            *[f"--set={o}" for o in overrides], "--set", "data.delimiter=",
+        )
+        assert code == 2
+        assert "data.delimiter" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting,field", [("trainer.c_init=nan", "C_init"), ("trainer.init_range=1e308", "init_range")]
+    )
+    def test_non_finite_trainer_value_names_field(self, tmp_path, capsys, setting, field):
+        data = write_vector_file(tmp_path / "d.csv")
+        out = tmp_path / "out"
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={out}",
+            *[f"--set={o}" for o in FAST_OVERRIDES], "--set", setting,
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestModelIo:
     def test_round_trip_gmm(self, tmp_path):

@@ -192,7 +192,7 @@ class TestMonteCarloEm:
                 samples = []
                 for x in data:
                     a = backend.approx_posterior([x])
-                    zs = backend.sample_hidden([x], a, srng.random((n_draws, 1)))
+                    zs = backend.sample_hidden(a, srng.random((n_draws, 1)))
                     samples.append((x, zs))
                 backend.update_parameters(samples)
                 curve.append(marginal_log_likelihood_gmm(backend.params, data))

@@ -89,6 +89,11 @@ class TestForwardBackward:
         with pytest.raises(InvalidSequenceError):
             forward_backward([np.array([0, 5])], p)[0]
 
+    def test_mixed_length_stack_rejected(self):
+        p = random_params(2, 2, np.random.default_rng(5))
+        with pytest.raises(InvalidSequenceError, match="one length"):
+            forward_backward([np.array([0, 1]), np.array([1, 0, 1])], p)
+
 
 class TestSamplePath:
     def test_deterministic_chain(self):
@@ -98,19 +103,19 @@ class TestSamplePath:
             emission=np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
         x = np.array([0, 1, 0, 1])
-        post = forward_backward([x], p, prob_floor=0.0)[0]
+        post = forward_backward([x], p, prob_floor=0.0)
         rng = np.random.default_rng(0)
-        for q in sample_paths(p, [post], rng.random((10, x.size))):
+        for q in sample_paths(p, post, rng.random((10, x.size))):
             assert q.tolist() == [0, 1, 0, 1]
 
     def test_marginals_match_gamma(self):
         rng = np.random.default_rng(1)
         p = random_params(2, 2, rng)
         x = np.array([0, 1])
-        post = forward_backward([x], p)[0]
-        paths = sample_paths(p, [post], rng.random((100_000, x.size)))
+        post = forward_backward([x], p)
+        paths = sample_paths(p, post, rng.random((100_000, x.size)))
         counts = np.stack([np.bincount(paths[:, t], minlength=2) for t in range(2)])
-        assert counts / 100_000 == pytest.approx(post.gamma, abs=0.01)
+        assert counts / 100_000 == pytest.approx(post.gamma[0], abs=0.01)
 
     def test_joint_path_distribution(self):
         rng = np.random.default_rng(2)
@@ -157,7 +162,7 @@ class TestFeatureBlock:
         bp, _ = tiny_hmm_pair()
         x = rng.integers(0, 3, size=7)
         post = bp.approx_posterior([x])
-        q = bp.sample_hidden([x], post, rng.random((1, x.size)))
+        q = bp.sample_hidden(post, rng.random((1, x.size)))
         (block,) = bp.feature_block([x], q, post)
         m, k = 2, 3
         assert block.shape == (m + 2 * m * m + m * k,)
@@ -269,7 +274,7 @@ class TestBackend:
         x = rng.integers(0, 3, size=6)
         post = backend.approx_posterior([x])
         for _ in range(5):
-            (q,) = backend.sample_hidden([x], post, rng.random((1, x.size)))
+            (q,) = backend.sample_hidden(post, rng.random((1, x.size)))
             (block,) = backend.feature_block([x], q[None], post)
             trans_logq = np.log(post[0].transition_post)[q[:-1], q[1:]].sum()
             expected = joint_log_density_hmm(x, q, backend.params) - trans_logq

@@ -59,6 +59,9 @@ class TestTiltExponent:
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
             TiltConfig(C=-1.0)
+        for C in (float("nan"), float("inf")):
+            with pytest.raises(InvalidArgumentError, match="^C must be nonnegative and finite"):
+                TiltConfig(C=C)
         with pytest.raises(InvalidArgumentError):
             TiltConfig(C=1.0, n_draws=0)
         with pytest.raises(InvalidArgumentError):

@@ -372,11 +372,13 @@ class TestStackedPosteriorsMatchLoop:
             params = random_hmm_params(M, 6, rng)
             lengths = rng.choice([1, 2, 3, 7, 30, 61], size=40)
             xs = [rng.integers(0, 6, size=int(L)) for L in lengths]
-            posts = HmmBackend(params, prob_floor).approx_posterior(xs)
-            assert len(posts) == len(xs)
-            for x, post in zip(xs, posts):
-                old = ref.forward_backward(x, params, prob_floor)
-                assert_same_fields(post, old, POSTERIOR_FIELDS)
+            backend = HmmBackend(params, prob_floor)
+            for idx in sampler.width_groups(xs, backend, backend)[1]:
+                posts = backend.approx_posterior([xs[i] for i in idx])
+                assert posts.log_likelihood.shape == (len(idx),)
+                for i, post in zip(idx, posts):
+                    old = ref.forward_backward(xs[i], params, prob_floor)
+                    assert_same_fields(post, old, POSTERIOR_FIELDS)
 
     def test_hmm_unused_state_keeps_uniform_row(self):
         """A state with no visit mass keeps its uniform posterior transition
@@ -386,10 +388,10 @@ class TestStackedPosteriorsMatchLoop:
             transition=np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]),
             emission=np.full((3, 2), 0.5),
         )
-        xs = [np.array([0, 1, 1]), np.array([1, 0, 0]), np.array([0])]
-        for x, post in zip(xs, forward_backward(xs, params, prob_floor=0.0)):
-            assert_same_fields(post, ref.forward_backward(x, params, 0.0), POSTERIOR_FIELDS)
-            assert post.transition_post[2].tolist() == [1 / 3] * 3
+        for xs in ([np.array([0, 1, 1]), np.array([1, 0, 0])], [np.array([0])]):
+            for x, post in zip(xs, forward_backward(xs, params, prob_floor=0.0)):
+                assert_same_fields(post, ref.forward_backward(x, params, 0.0), POSTERIOR_FIELDS)
+                assert post.transition_post[2].tolist() == [1 / 3] * 3
 
     @pytest.mark.parametrize("K,d", [(1, 1), (3, 2), (4, 9), (6, 20)])
     def test_gmm_ties_and_non_finite_rows(self, K, d):

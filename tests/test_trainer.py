@@ -91,8 +91,8 @@ class TestInitU0:
         for x, y in S_l:
             a_p, a_m = bp.approx_posterior([x]), bm.approx_posterior([x])
             uniforms = rng.random((5, 2))  # per draw: z_plus's uniform, then z_minus's
-            zp = bp.sample_hidden([x], a_p, uniforms[:, :1])
-            zm = bm.sample_hidden([x], a_m, uniforms[:, 1:])
+            zp = bp.sample_hidden(a_p, uniforms[:, :1])
+            zm = bm.sample_hidden(a_m, uniforms[:, 1:])
             feats.append(
                 assemble(bp.feature_block([x], zp, a_p), bm.feature_block([x], zm, a_m))[1]
             )
@@ -217,6 +217,20 @@ class TestTrain:
     def test_count_below_one_names_field(self, name):
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be >= 1, got 0$"):
             small_cfg(**{name: 0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["gamma_u", "gamma_c", "init_range", "convergence_tol", "C_init"]
+    )
+    def test_non_finite_value_names_field(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be .*finite"):
+            small_cfg(**{name: value})
+
+    def test_init_range_overflowing_when_doubled_names_field(self):
+        """numpy's uniform needs a finite box width, 2 * init_range."""
+        small_cfg(init_range=8e307)
+        with pytest.raises(InvalidArgumentError, match="init_range must be finite"):
+            small_cfg(init_range=1e308)
 
 
 class TestMultiRestart:

@@ -14,7 +14,7 @@ and removes it at the end.  The inputs come from this checkout's
 the same files.
 
 The recipe, for perfbench's seed-101 and seed-102 inputs of both
-workloads, with each workload's own settings (117 outputs):
+workloads, with each workload's own settings (131 outputs):
 
 - in semi and supervised mode: ``model.bin``, ``telemetry.csv``, stdout
   and stderr of ``train``; ``predictions.csv`` and stdout of
@@ -24,6 +24,9 @@ workloads, with each workload's own settings (117 outputs):
 - semi ``train`` and ``predict`` at ``tilt.n_draws=40`` and
   ``predict.n=40``: 25 inputs per stack of ``sampler.BLOCK_ROWS`` rows,
   so training passes and ``predict`` span several stacks;
+- hmm-semi semi ``train``, ``predict`` and ``bound-report`` on copies of
+  the inputs where row ``i`` keeps all but its last ``i mod 7`` letters,
+  so every pass and ``predict`` runs seven length groups;
 - ``benchmark`` with ``data.n_partitions=2`` and
   ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``
   and ``results.csv`` without its ``wall_seconds`` column;
@@ -61,6 +64,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def mixed_lengths(lines: list[str]) -> list[str]:
+    """``label,LETTERS`` rows with row ``i`` cut by its last ``i mod 7`` letters."""
+    cut = []
+    for i, line in enumerate(lines):
+        label, letters = line.split(",", 1)
+        cut.append(f"{label},{letters[: len(letters) - i % 7]}")
+    return cut
+
+
 class Recipe:
     def __init__(self, tree: Path, work: Path):
         self.work = self.cwd = work
@@ -94,18 +106,20 @@ class Recipe:
     def keep(self, name: str, path: str):
         self.hashes[name] = sha256((self.cwd / path).read_bytes())
 
-    def train_and_predict(self, prefix: str, out: str, common: tuple, train: tuple, report: bool):
+    def train_and_predict(
+        self, prefix: str, out: str, common: tuple, train: tuple, report: bool, inputs: str = "in"
+    ):
         name = f"{prefix}/{out}"
-        settings = ("data.path=in/train.csv", f"run.output_dir={out}", *common, *train)
+        settings = (f"data.path={inputs}/train.csv", f"run.output_dir={out}", *common, *train)
         self.run(f"{name}/train", "train", *settings)
         for artefact in ("model.bin", "telemetry.csv"):
             self.keep(f"{name}/{artefact}", f"{out}/{artefact}")
         model = f"{out}/model.bin"
-        settings = ("data.path=in/test.csv", f"run.output_dir={out}", *common)
+        settings = (f"data.path={inputs}/test.csv", f"run.output_dir={out}", *common)
         self.run(f"{name}/predict", "predict", *settings, model=model)
         self.keep(f"{name}/predictions.csv", f"{out}/predictions.csv")
         if report:
-            settings = ("data.path=in/train.csv", *common)
+            settings = (f"data.path={inputs}/train.csv", *common)
             self.run(f"{name}/bound-report", "bound-report", *settings, model=model)
 
     def benchmark(self, prefix: str, common: tuple, settings: tuple):
@@ -117,19 +131,25 @@ class Recipe:
         stable = "\n".join(",".join(line.split(",")[i] for i in keep) for line in lines)
         self.hashes[f"{prefix}/results.csv-wall"] = sha256(stable.encode())
 
+    def write_inputs(self, inputs: str, rows: dict):
+        (self.cwd / inputs).mkdir(parents=True)
+        for part, lines in rows.items():
+            (self.cwd / inputs / f"{part}.csv").write_text("\n".join(lines) + "\n")
+
     def workload(self, seed: int, w):
         prefix = f"seed{seed}/{w.name}"
         self.cwd = self.work / prefix
-        (self.cwd / "in").mkdir(parents=True)
         data = w.make(seed)
-        for part in ("train", "test"):
-            (self.cwd / "in" / f"{part}.csv").write_text("\n".join(data[part]) + "\n")
+        self.write_inputs("in", {part: data[part] for part in ("train", "test")})
         for mode, extra in (("semi", ()), ("sup", ("run.mode=supervised",))):
             self.train_and_predict(prefix, mode, (*w.common, *extra), w.train, True)
         if w.kind == "sequence":
             for states in (10, 16):
                 common = (*w.common, f"hmm.states={states}")
                 self.train_and_predict(prefix, f"semi{states}", common, w.train, False)
+            mixed = {part: mixed_lengths(data[part]) for part in ("train", "test")}
+            self.write_inputs("in-mixed", mixed)
+            self.train_and_predict(prefix, "mixed", w.common, w.train, True, inputs="in-mixed")
         self.train_and_predict(prefix, "blocks", (*w.common, *BLOCKS), w.train, False)
         self.benchmark(prefix, w.common, w.benchmark or w.train)
 
