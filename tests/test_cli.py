@@ -178,6 +178,17 @@ class TestConfig:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_init_range_trains_without_overflow(self, tmp_path):
+        # 2 * 8e307 is finite, but the initial margins square past the double range
+        # inside gauss_pdf unless it caps them first.
+        data = write_vector_file(tmp_path / "d.csv")
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path / 'out'}",
+            *[f"--set={o}" for o in FAST_OVERRIDES], "--set", "trainer.init_range=8e307",
+        )
+        assert code == 0
+
 
 class TestModelIo:
     def test_round_trip_gmm(self, tmp_path):
@@ -502,8 +513,9 @@ print(code, after_import, "scipy" in sys.modules)
 
 
 class TestScipyStaysUnloaded:
-    """Only training needs scipy (``phi_tail``'s ``erfc``); importing the
-    package and predicting must not pay its start-up cost."""
+    """No command needs scipy (``phi_tail`` uses the standard library's
+    ``erfc``), so importing the package, training, benchmarking, reporting
+    bounds, the self-test and predicting must not pay its start-up cost."""
 
     def probe(self, *argv):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -527,6 +539,27 @@ class TestScipyStaysUnloaded:
         model = str(out / "model.bin")
         argv = ["predict", "--model", model, *common, "--set", f"run.backend={backend}"]
         assert self.probe(*argv) == "0 False False"
+
+    @pytest.mark.parametrize("backend", ["gmm", "hmm"])
+    def test_train_and_bound_report_load_no_scipy(self, tmp_path, backend):
+        data, overrides = small_task(tmp_path, backend)
+        out = tmp_path / "out"
+        common = ["--set", f"data.path={data}", "--set", f"run.output_dir={out}"]
+        assert self.probe("train", *common, *[f"--set={o}" for o in overrides]) == "0 False False"
+        model = str(out / "model.bin")
+        argv = ["bound-report", "--model", model, *common, "--set", f"run.backend={backend}"]
+        assert self.probe(*argv) == "0 False False"
+
+    def test_benchmark_loads_no_scipy(self, tmp_path):
+        data = write_vector_file(tmp_path / "d.csv", n_per_class=20, seed=3)
+        argv = [
+            "benchmark", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path / 'out'}",
+            "--set", "data.n_partitions=2", *[f"--set={o}" for o in FAST_OVERRIDES],
+        ]
+        assert self.probe(*argv) == "0 False False"
+
+    def test_selftest_loads_no_scipy(self):
+        assert self.probe("selftest") == "0 False False"
 
 
 class TestSelftestCommand:
