@@ -21,11 +21,13 @@ Jensen bound::
          + (C / (m_l n)) sum_ij  phi_tail(y_i a_ij)
          + (C / (m_u n)) sum_ij  phi_tail(a_ij) phi_tail(-a_ij)
 
-and its analytic ``u``-gradient is implemented alongside for descent.
-Both work on whole batches, yet give the same bits as one pass per
-example: negation is exact in IEEE arithmetic, so signed rows give the
-signed margins exactly, and sums over examples run left to right from
-+0.0 (``_sum_examples``), as a per-example ``+=`` loop does.
+and its analytic ``u``-gradient is written once, in :class:`Surrogate`,
+which gives both from one set of margins.  Both work on whole batches,
+yet give the same bits as one pass per example: negation is exact in
+IEEE arithmetic, so signed rows give the signed margins exactly, the
+batches stack along the example axis with one (n, D) product per
+example, and sums over examples run left to right from +0.0
+(``_sum_examples``), as a per-example ``+=`` loop does.
 The trade-off constant ``C`` has its own descent direction, implemented
 exactly as the derivative of the bound treated as a function of ``C``
 with the risk terms entering ``J`` linearly.
@@ -109,7 +111,8 @@ def kl_weights(u: np.ndarray, u0: np.ndarray) -> float:
     if u.shape != u0.shape:
         raise InvalidArgumentError("u and u0 must have equal dimensions")
     diff = u - u0
-    return 0.5 * float(diff @ diff)
+    with np.errstate(over="ignore"):  # beyond the double range the KL is inf
+        return 0.5 * float(diff @ diff)
 
 
 def _sum_examples(values: np.ndarray):
@@ -118,7 +121,7 @@ def _sum_examples(values: np.ndarray):
     This gives the bits of a per-example ``total += value`` loop; a plain
     ``np.sum`` adds pairwise and can differ in the last bits.
     """
-    return np.cumsum(values, axis=0)[-1] + 0.0
+    return values.cumsum(axis=0)[-1] + 0.0
 
 
 def _weighted_rows(weights: np.ndarray, batch: FeatureBatch) -> np.ndarray:
@@ -156,52 +159,54 @@ def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):
         raise InvalidArgumentError("need at least one hidden draw per example")
 
 
-def surrogate_objective(
-    labeled: FeatureBatch,
-    unlabeled: FeatureBatch,
-    u: np.ndarray,
-    u0: np.ndarray,
-    C: float,
-    m: int,
-    m_l: int,
-    m_u: int,
-    n: int,
-) -> float:
+class Surrogate:
+    """J(u) and its ``u``-gradient over one fixed (labeled, unlabeled) batch pair.
+
+    The batches are stacked once, when it is built; ``m_l``, ``m_u`` and
+    the draws per example ``n`` come from their shapes.  Each call takes
+    one ``phi_tail`` call on ``[a_l; a_u; -a_u]``, and its gradient one
+    ``gauss_pdf`` call on the same margins.
+    """
+
+    def __init__(self, labeled: FeatureBatch, unlabeled: FeatureBatch):
+        if len(labeled) < 1:
+            raise InvalidArgumentError("need at least one labeled example")
+        self.rows = np.concatenate([labeled, unlabeled])
+        self.m_l, self.m_u = len(labeled), len(unlabeled)
+
+    def __call__(self, u: np.ndarray, u0: np.ndarray, C: float):
+        """The pair (J(u), gradient), where ``gradient()`` returns grad J(u)."""
+        m_l, m_u = self.m_l, self.m_u
+        m, n = m_l + m_u, self.rows.shape[1]
+        a = np.matmul(self.rows, u)
+        tails = phi_tail(np.concatenate([a, -a[m_l:]]))
+        t_l, t_u, t_neg = tails[:m_l], tails[m_l:m], tails[m:]
+        value = kl_weights(u, u0) / m + C * _sum_examples(np.add.reduce(t_l, axis=1) / n) / m_l
+        if m_u > 0:
+            value += C * _sum_examples(np.add.reduce(t_u * t_neg, axis=1) / n) / m_u
+
+        def gradient() -> np.ndarray:
+            weights = gauss_pdf(a)
+            weights[m_l:] *= t_u - t_neg
+            rows = _weighted_rows(weights, self.rows)
+            grad = (u - u0) / m - C * _sum_examples(rows[:m_l]) / m_l
+            if m_u > 0:
+                grad += C * _sum_examples(rows[m_l:]) / m_u
+            return grad
+
+        return float(value), gradient
+
+
+def surrogate_objective(labeled, unlabeled, u, u0, C: float, m, m_l, m_u, n) -> float:
     """The Jensen surrogate J(u) over fixed hidden samples."""
     _validate_counts(labeled, unlabeled, m, m_l, m_u, n)
-    value = kl_weights(u, u0) / m
-    lab = _sum_examples(phi_tail(np.matmul(labeled, u)).mean(axis=1))
-    value += C * lab / m_l
-    if m_u > 0:
-        a = np.matmul(unlabeled, u)
-        unl = _sum_examples((phi_tail(a) * phi_tail(-a)).mean(axis=1))
-        value += C * unl / m_u
-    return float(value)
+    return Surrogate(labeled, unlabeled)(u, u0, C)[0]
 
 
-def grad_u(
-    labeled: FeatureBatch,
-    unlabeled: FeatureBatch,
-    u: np.ndarray,
-    u0: np.ndarray,
-    C: float,
-    m: int,
-    m_l: int,
-    m_u: int,
-    n: int,
-) -> np.ndarray:
+def grad_u(labeled, unlabeled, u, u0, C: float, m, m_l, m_u, n) -> np.ndarray:
     """Analytic gradient of the surrogate J(u) with respect to ``u``."""
     _validate_counts(labeled, unlabeled, m, m_l, m_u, n)
-    grad = (u - u0) / m
-    a = np.matmul(labeled, u)
-    lab = _sum_examples(_weighted_rows(gauss_pdf(a), labeled))
-    grad -= C * lab / m_l
-    if m_u > 0:
-        a = np.matmul(unlabeled, u)
-        weights = gauss_pdf(a) * (phi_tail(a) - phi_tail(-a))
-        unl = _sum_examples(_weighted_rows(weights, unlabeled))
-        grad += C * unl / m_u
-    return grad
+    return Surrogate(labeled, unlabeled)(u, u0, C)[1]()
 
 
 def _check_bound_args(risk: float, kl_total: float, C: float, delta: float, m: int):

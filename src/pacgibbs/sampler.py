@@ -10,17 +10,23 @@ of the tilt's normalizing constant.
 
 Proposals are made in chunks of stacked draws.  Each attempt uses one
 row of uniforms: the positive model's draw, then the negative model's,
-then the accept test.  A chunk holds only attempts that are certain to
-run, so the sampler consumes exactly the random numbers, in the same
-order, as a loop making one attempt at a time, and leaves the generator
-in the same state.
+then the accept test.  :func:`chunks` proposes and tilts every chunk,
+and :func:`rounds` draws them: stacks of at most ``BLOCK_ROWS`` rows
+over many examples, each from its own generator, every later round
+over the examples still short of draws with ``k`` their largest
+shortfall.  :func:`rejection_sample` then takes an example's drawn
+attempts in order and stops at the ``n_draws``-th accept or at the
+budget, wherever the rounds end.
 
-:func:`chunks` proposes and tilts every chunk.  The first chunk of every
-example holds ``n_draws`` attempts whatever happens, so a sampling pass
-draws the first chunks of many examples, each from its own generator,
-as one stack of at most ``BLOCK_ROWS`` rows.  :func:`rejection_sample`
-then continues each example from its first chunk, and draws later
-chunks, one example at a time, only for examples still short of draws.
+Called alone, :func:`rejection_sample` runs :func:`rounds` over its one
+input, whose every ``k`` is then its own shortfall: it draws only
+attempts that are certain to run, so it consumes exactly the random
+numbers, in the same order, as a loop making one attempt at a time, and
+leaves the generator in the same state.  In a sampling pass an example
+short by less than a round's largest shortfall draws attempts it never
+takes.  That keeps every result, because each example's generator is
+private to the pass and thrown away after it, and an attempt's draws
+depend only on its own row of uniforms.
 
 Tilt weights: every labeled example is weighted by its expected
 misclassification and every unlabeled one by its expected disagreement,
@@ -179,15 +185,45 @@ def chunks(
     U_plus + U_minus + 1)`` uniforms from ``rngs[i]``, the accept test's
     last in each row, so the inputs must share their uniforms per draw.
     ``posts`` holds both models' posteriors of ``xs``.  Returns one
-    ``(accept_uniforms, (h_plus, h_minus, phi_bar, exponents))`` per input.
+    ``(accepts, (h_plus, h_minus, phi_bar, exponents))`` per input,
+    ``accepts`` being each attempt's accept test.
     """
     width = backend_plus.uniforms_per_draw(xs[0]) + backend_minus.uniforms_per_draw(xs[0])
     uniforms = np.concatenate([rng.random((k, width + 1)) for rng in rngs])
     h_plus, h_minus, phi_bar = propose(xs, backend_plus, backend_minus, posts, uniforms[:, :-1])
     labels = np.repeat([0 if y is None else y for y in ys], k)
     exponents = tilt_exponents(phi_bar, labels, u, cfg)
+    accepts = np.log(uniforms[:, -1]) < exponents
     rows = [slice(i * k, (i + 1) * k) for i in range(len(xs))]
-    return [(uniforms[r, -1], (h_plus[r], h_minus[r], phi_bar[r], exponents[r])) for r in rows]
+    return [(accepts[r], (h_plus[r], h_minus[r], phi_bar[r], exponents[r])) for r in rows]
+
+
+def rounds(xs, ys, backend_plus, backend_minus, u, cfg: TiltConfig, rngs, posts) -> list[list]:
+    """Draw, as stacks, every attempt that :func:`rejection_sample` of each input in ``xs`` needs.
+
+    The arguments are those of :func:`chunks`.  The first round is every
+    input's first chunk of ``cfg.n_draws`` attempts; each later round is
+    one :func:`chunks` call over the inputs still short of draws, with
+    ``k`` their largest shortfall, capped by the remaining budget.
+    Returns each input's chunks in order (``rejection_sample``'s ``drawn``).
+    """
+    drawn = [[] for _ in xs]
+    short = np.full(len(xs), cfg.n_draws)
+    active = list(range(len(xs)))
+    attempts = 0
+    while active and attempts < cfg.max_attempts:
+        k = min(int(short[active].max()), cfg.max_attempts - attempts)
+        stack = posts if len(active) == len(xs) else (posts[0][active], posts[1][active])
+        new = chunks(
+            [xs[j] for j in active], [ys[j] for j in active], backend_plus, backend_minus, u,
+            cfg, [rngs[j] for j in active], stack, k,
+        )
+        for j, chunk in zip(active, new):
+            drawn[j].append(chunk)
+            short[j] -= np.count_nonzero(chunk[0])
+        attempts += k
+        active = [j for j in active if short[j] > 0]
+    return drawn
 
 
 def rejection_sample(
@@ -198,54 +234,41 @@ def rejection_sample(
     u: np.ndarray,
     cfg: TiltConfig,
     rng: np.random.Generator,
-    posts: tuple | None = None,
-    first: tuple | None = None,
+    drawn=(),
 ) -> HiddenSampleSet:
     """Draw ``cfg.n_draws`` hidden pairs from the tilted posterior of ``x``.
 
     Proposals come from the exact untilted posteriors of both models; a
     pair is accepted with probability ``exp(tilt exponent)``.  If the
     attempt budget runs out first, the n_draws proposals with the largest
-    exponents seen so far are kept and the result is flagged degraded.
-    ``posts`` holds both models' posteriors of ``x`` as stacks of one;
-    without it they are computed here.  ``first`` is a first chunk of
-    ``cfg.n_draws`` attempts that :func:`chunks` already drew from
-    ``rng``; sampling continues from it, with ``rng`` in the state it left.
+    exponents seen are kept and the result is flagged degraded.
+    ``drawn`` holds the chunks that :func:`rounds` drew for ``x`` from
+    ``rng``; when it is empty they are drawn here, by :func:`rounds` over
+    ``x`` alone.  Attempts are taken in order up to the ``n_draws``-th
+    accept or the budget.
     """
-    xs = [x]
-    if posts is None:
-        posts = (backend_plus.approx_posterior(xs), backend_minus.approx_posterior(xs))
-
-    drawn = []  # (h_plus, h_minus, phi_bar, exponents) of each chunk of proposals
-    accepted: list[int] = []  # attempt indices
-    best: list[tuple[float, int]] = []  # min-heap of (exponent, attempt index)
-    attempts = 0
-    while len(accepted) < cfg.n_draws and attempts < cfg.max_attempts:
-        # Each of these attempts runs whatever the earlier ones in the chunk decide.
-        k = min(cfg.n_draws - len(accepted), cfg.max_attempts - attempts)
-        if first is None:
-            (first,) = chunks(xs, [y], backend_plus, backend_minus, u, cfg, [rng], posts, k)
-        (accept_uniforms, chunk), first = first, None
-        drawn.append(chunk)
-        exponents = chunk[3]
-        accepts = np.log(accept_uniforms) < exponents
-        accepted += (attempts + np.flatnonzero(accepts)).tolist()
-        for i in np.flatnonzero(~accepts).tolist():
-            entry = (float(exponents[i]), attempts + i)
+    if not drawn:
+        posts = (backend_plus.approx_posterior([x]), backend_minus.approx_posterior([x]))
+        drawn = rounds([x], [y], backend_plus, backend_minus, u, cfg, [rng], posts)[0]
+    flags, draws = zip(*drawn)  # per chunk: accept flags, (h_plus, h_minus, phi_bar, exponents)
+    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*draws))
+    flags = np.concatenate(flags)
+    accepted = np.flatnonzero(flags)[: cfg.n_draws].tolist()  # attempt indices
+    degraded = len(accepted) < cfg.n_draws
+    attempts = len(flags) if degraded else accepted[-1] + 1
+    keep = accepted
+    if degraded:
+        # Fallback: keep the n_draws proposals with the largest exponents
+        # seen.  The rejected ones pass through a min-heap in attempt order;
+        # ties keep accepted draws first, then the heap's list order.
+        best: list[tuple[float, int]] = []  # min-heap of (exponent, attempt index)
+        for i in np.flatnonzero(~flags).tolist():
+            entry = (float(exponents[i]), i)
             if len(best) < cfg.n_draws:
                 heapq.heappush(best, entry)
             else:
                 heapq.heappushpop(best, entry)
-        attempts += k
-
-    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*drawn))
-    keep = accepted
-    degraded = len(accepted) < cfg.n_draws
-    if degraded:
-        # Fallback: keep the n_draws proposals with the largest exponents
-        # seen; ties keep accepted draws first, then the heap's list order.
-        pool = accepted + [i for _, i in best]
-        keep = sorted(pool, key=lambda i: -exponents[i])[: cfg.n_draws]
+        keep = sorted(accepted + [i for _, i in best], key=lambda i: -exponents[i])[: cfg.n_draws]
     return HiddenSampleSet(
         h_plus[keep],
         h_minus[keep],

@@ -13,7 +13,9 @@ task is trained by one run of this loop.
 The prior mean ``u0`` is fit once, before the loop, on held-aside
 fractions of the data by minimizing the label risk plus half the
 disagreement over untilted hidden draws, restarting from random points
-in ``[-init_range, init_range]^dim`` and keeping the best.
+in ``[-init_range, init_range]^dim`` and keeping the best.  The descent
+evaluates J once per candidate point (``bounds.Surrogate``) and takes
+each step's gradient from the margins of the candidate it accepted.
 
 The fixed-rate step of the reference procedure diverges easily on this
 non-convex objective, so each ``u`` step is wrapped in a backtracking
@@ -31,6 +33,7 @@ import numpy as np
 
 from .bounds import (
     RiskReport,
+    Surrogate,
     bound_semisupervised,
     bound_supervised,
     empirical_risks,
@@ -43,7 +46,7 @@ from .bounds import (
 from .errors import InvalidArgumentError, TrainingAbort
 from .features import GenerativeBackend
 from .predictor import evaluate
-from .sampler import TiltConfig, blocks, chunks, rejection_sample, width_groups
+from .sampler import TiltConfig, blocks, rejection_sample, rounds, width_groups
 
 C_UPDATE_MODES = ("gradient", "cross_validation", "fixed")
 MIN_C = 1e-3
@@ -124,8 +127,8 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
     Examples that use as many uniforms per draw (for sequences: of one
     length) are handled in stacks of at most ``sampler.BLOCK_ROWS``
     first-chunk rows: one posterior call per backend, and one proposal
-    and tilt of every example's first chunk.  Each example's sampler then
-    continues from its own chunk and posterior slice.
+    and tilt per round (``sampler.rounds``).  Each example's sampler then
+    takes its own drawn attempts.
     """
     xs = [x for x, _ in S_l] + list(S_u)
     ys = [y for _, y in S_l] + [None] * len(S_u)
@@ -136,13 +139,9 @@ def _sample_sets(S_l, S_u, bp, bm, u, tcfg, seed, *key):
             stack = [xs[i] for i in idx]
             posts = (bp.approx_posterior(stack), bm.approx_posterior(stack))
             rngs = [derive_rng(seed, *key, i) for i in idx]
-            labels = [ys[i] for i in idx]
-            firsts = chunks(stack, labels, bp, bm, u, tcfg, rngs, posts, tcfg.n_draws)
+            drawn = rounds(stack, [ys[i] for i in idx], bp, bm, u, tcfg, rngs, posts)
             for j, i in enumerate(idx):
-                sets[i] = rejection_sample(
-                    xs[i], ys[i], bp, bm, u, tcfg, rngs[j],
-                    (posts[0][j : j + 1], posts[1][j : j + 1]), firsts[j],
-                )
+                sets[i] = rejection_sample(xs[i], ys[i], bp, bm, u, tcfg, rngs[j], drawn[j])
     return sets[: len(S_l)], sets[len(S_l) :]
 
 
@@ -152,26 +151,33 @@ def _feature_batches(S_l, sets_l, sets_u, shape):
     return labeled, stack_features([s.phi_bar for s in sets_u], shape=shape)
 
 
-def _backtracking_step(value_fn, grad: np.ndarray, u: np.ndarray, j_u: float, gamma: float):
-    """One descent step; halve the rate until the objective does not increase."""
+def _backtracking_step(evaluate, grad: np.ndarray, u: np.ndarray, current: tuple, gamma: float):
+    """One descent step; halve the rate until the objective does not increase.
+
+    ``evaluate(v)`` returns a tuple that starts with the objective at ``v``,
+    ``current`` is that tuple at ``u``; returns the point taken and its tuple."""
     step = gamma
     for _ in range(MAX_HALVINGS + 1):
         cand = u - step * grad
-        j_cand = value_fn(cand)
-        if j_cand <= j_u:
-            return cand, j_cand
+        result = evaluate(cand)
+        if result[0] <= current[0]:
+            return cand, result
         step *= 0.5
-    return u, j_u
+    return u, current
 
 
-def _descend(value_fn, grad_fn, u: np.ndarray, gamma: float, max_iters: int):
-    j_u = value_fn(u)
+def _descend(evaluate, u: np.ndarray, gamma: float, max_iters: int):
+    """Descent from ``u``; ``evaluate(v)`` returns (J(v), gradient), where
+    ``gradient()`` gives grad J(v) from the margins of that evaluation, so
+    each step's gradient comes from the evaluation that accepted its point
+    and a rejected candidate costs no gradient."""
+    current = evaluate(u)
     for _ in range(max_iters):
-        u_new, j_new = _backtracking_step(value_fn, grad_fn(u), u, j_u, gamma)
-        if j_new >= j_u - 1e-14:
-            return u_new, j_new
-        u, j_u = u_new, j_new
-    return u, j_u
+        u_new, taken = _backtracking_step(evaluate, current[1](), u, current, gamma)
+        if taken[0] >= current[0] - 1e-14:
+            return u_new, taken[0]
+        u, current = u_new, taken
+    return u, current[0]
 
 
 def init_u0(
@@ -205,16 +211,8 @@ def init_u0(
         S_l_fraction, S_u_fraction, backend_plus, backend_minus, np.zeros(dim), untilted,
         cfg.seed, _PHASE_U0_SAMPLES,
     )
-    m_l, m_u = len(sets_l), len(sets_u)
-    m, n = m_l + m_u, tilt_cfg.n_draws
-    labeled, unlabeled = _feature_batches(S_l_fraction, sets_l, sets_u, (n, dim))
-
-    def objective(u):
-        return surrogate_objective(labeled, unlabeled, u, u, 1.0, m, m_l, m_u, n)
-
-    def gradient(u):
-        return grad_u(labeled, unlabeled, u, u, 1.0, m, m_l, m_u, n)
-
+    labeled, unlabeled = _feature_batches(S_l_fraction, sets_l, sets_u, (tilt_cfg.n_draws, dim))
+    surrogate = Surrogate(labeled, unlabeled)
     starts = [
         derive_rng(cfg.seed, _PHASE_U0_STARTS, r).uniform(-cfg.init_range, cfg.init_range, dim)
         for r in range(cfg.restarts)
@@ -226,7 +224,7 @@ def init_u0(
     )
     best_u, best_j = None, math.inf
     for start in starts:
-        u_r, j_r = _descend(objective, gradient, start, cfg.gamma_u, max_iters)
+        u_r, j_r = _descend(lambda v: surrogate(v, v, 1.0), start, cfg.gamma_u, max_iters)
         if j_r < best_j:
             best_u, best_j = u_r, j_r
     return best_u
@@ -351,11 +349,12 @@ def train(
         history.append(report)
 
         def j_of(v):
-            return surrogate_objective(labeled, unlabeled, v, u0, C, m, m_l, m_u, n)
+            return (surrogate_objective(labeled, unlabeled, v, u0, C, m, m_l, m_u, n),)
 
         g = grad_u(labeled, unlabeled, u, u0, C, m, m_l, m_u, n)
-        u, j_after = _backtracking_step(j_of, g, u, report.J, cfg.gamma_u)
-        if np.linalg.norm(u) > MAX_U_NORM:
+        u, (j_after,) = _backtracking_step(j_of, g, u, (report.J,), cfg.gamma_u)
+        # Components first: the squared norm of a huge finite u overflows.
+        if np.any(np.abs(u) > MAX_U_NORM) or np.linalg.norm(u) > MAX_U_NORM:
             raise TrainingAbort(f"iteration {it}: ||u|| exceeded {MAX_U_NORM:g}; diverged")
 
         if cfg.c_update == "gradient":

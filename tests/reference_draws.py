@@ -2,9 +2,10 @@
 
 These are the loops that stacking replaced: one input's posteriors at a
 time; one hidden draw, one feature vector and one random number at a
-time; and M-steps over one weighted (x, h, w) triple per draw.  The
-bit-identity tests compare the package's stacked posteriors, sampler,
-predictor and M-steps with them.  The joint and marginal densities are
+time; M-steps over one weighted (x, h, w) triple per draw; and a descent
+that evaluates J and its gradient in separate calls.  The bit-identity
+tests compare the package's stacked posteriors, sampler, predictor,
+M-steps and prior-mean fit with them.  The joint and marginal densities are
 test oracles the package does not need.
 """
 
@@ -346,3 +347,31 @@ def vote_scores(x, backend_plus, backend_minus, u, n, rng):
         )
         votes.append(float(u @ feature.phi_bar))
     return votes
+
+
+# --- descent -----------------------------------------------------------------------
+
+MAX_HALVINGS = 20
+
+
+def backtracking_step(value_fn, grad, u, j_u, gamma):
+    """One descent step; halve the rate until the objective does not increase."""
+    step = gamma
+    for _ in range(MAX_HALVINGS + 1):
+        cand = u - step * grad
+        j_cand = value_fn(cand)
+        if j_cand <= j_u:
+            return cand, j_cand
+        step *= 0.5
+    return u, j_u
+
+
+def descend(value_fn, grad_fn, u, gamma, max_iters):
+    """Backtracking descent that takes each step's gradient in a call of its own."""
+    j_u = value_fn(u)
+    for _ in range(max_iters):
+        u_new, j_new = backtracking_step(value_fn, grad_fn(u), u, j_u, gamma)
+        if j_new >= j_u - 1e-14:
+            return u_new, j_new
+        u, j_u = u_new, j_new
+    return u, j_u

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from pacgibbs.bounds import (
+    Surrogate,
     _sum_examples,
     bound_semisupervised,
     bound_supervised,
@@ -343,6 +344,31 @@ class TestBatchedMatchesLoops:
             ).tobytes()
             r = empirical_risks(labeled, unlabeled, u)
             assert (r.e_S, r.d_S, r.R_S) == loop_empirical_risks(pairs, rows_u, u)
+
+    @pytest.mark.parametrize("m_u", [0, 7])
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_one_evaluation_gives_value_and_gradient_bits(self, n, m_u):
+        """J and its gradient from one Surrogate call equal the loop oracles,
+        also with margins beyond +-38.5, where phi_tail is 0.  At n = 40
+        the row means take numpy's pairwise sums."""
+        rng = np.random.default_rng(20 + n + m_u)
+        saturated = 0
+        for trial in range(12):
+            m_l = int(rng.integers(1, 25))
+            dim = int(rng.integers(3, 60))
+            feats, labels = raw_instance(rng, dim=dim, n=n, m_l=m_l, m_u=m_u)
+            u = rng.normal(size=dim) * (0.5, 5.0, 300.0)[trial % 3]
+            u0 = u.copy() if trial % 2 else rng.normal(size=dim)
+            C = float(rng.uniform(0.1, 3.0))
+            args = (u, u0, C, m_l + m_u, m_l, m_u, n)
+            saturated += int(np.count_nonzero(np.abs(feats @ u) > 38.5))
+
+            pairs, rows_u = list(zip(feats[:m_l], labels)), list(feats[m_l:])
+            labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
+            value, gradient = Surrogate(labeled, unlabeled)(u, u0, C)
+            assert value == loop_surrogate_objective(pairs, rows_u, *args)
+            assert gradient().tobytes() == loop_grad_u(pairs, rows_u, *args).tobytes()
+        assert saturated > 0
 
     def test_example_sums_run_left_to_right_from_plus_zero(self):
         values = np.array([[-0.0, 1e-300, 3.0], [-0.0, -1e-300, 1e16], [-0.0, 0.0, -1e16]])

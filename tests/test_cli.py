@@ -189,6 +189,29 @@ class TestConfig:
         )
         assert code == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_gamma_u_diverges_without_overflow(self, tmp_path, capsys):
+        # The prior-mean fit lands near 1e306: finite, but its squared norm is not.
+        data = write_vector_file(tmp_path / "d.csv")
+        fast = [o for o in FAST_OVERRIDES if not o.startswith("gmm.")]
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path / 'out'}",
+            *[f"--set={o}" for o in fast], "--set", "trainer.gamma_u=1e308",
+        )
+        assert code == 2
+        assert "||u|| exceeded" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_gamma_u_steps_are_rejected_without_overflow(self, tmp_path):
+        # Here the u steps themselves overshoot: ||u - u0||^2 is inf, so the
+        # backtracking guard rejects every rate and u stays put.
+        data = write_vector_file(tmp_path / "d.csv")
+        code = run_cli(
+            "train", "--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path / 'out'}",
+            *[f"--set={o}" for o in FAST_OVERRIDES], "--set", "trainer.gamma_u=1e308",
+        )
+        assert code == 0
+
 
 class TestModelIo:
     def test_round_trip_gmm(self, tmp_path):

@@ -520,6 +520,55 @@ class TestSamplingPassMatchesLoop:
         assert len(calls) < len(xs) and sum(calls) == len(xs)
         assert max(calls) <= sampler.BLOCK_ROWS // 3
 
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_budget_not_a_multiple_of_the_round(self, make_pair, make_inputs, monkeypatch):
+        """n_draws = 4 with budgets of 6, 9 and 11 attempts: the last round is
+        cut to the budget left, and examples short by less than a round's k
+        draw attempts they never take."""
+        rng = np.random.default_rng(98)
+        rows = []
+        chunks = sampler.chunks
+        monkeypatch.setattr(
+            sampler, "chunks", lambda xs, *a: rows.append(len(xs) * a[-1]) or chunks(xs, *a)
+        )
+        for trial, budget in enumerate((6, 9, 11)):
+            S_l, S_u, task = pass_examples(make_pair, make_inputs, 12, 5, rng)
+            cfg = TiltConfig(C=8.0, n_draws=4, max_attempts=budget)
+            rows.clear()
+            sets = assert_pass_matches_loop(
+                S_l, S_u, task.backend_plus, task.backend_minus, task.u * 3.0, cfg, key=(3, trial)
+            )
+            assert any(s.attempts == budget for s in sets)
+            assert sum(rows) > sum(s.attempts for s in sets)
+
+    @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
+    def test_later_rounds_stack_every_short_example(self, make_pair, make_inputs, monkeypatch):
+        """In a tilted pass every round proposes once per block, for exactly
+        the examples of the block still short of draws."""
+        rng = np.random.default_rng(99)
+        S_l, S_u, task = pass_examples(make_pair, make_inputs, 14, 6, rng)
+        bp, bm = task.backend_plus, task.backend_minus
+        calls = []  # (inputs, attempts per input) of each proposal
+        propose = sampler.propose
+        monkeypatch.setattr(
+            sampler,
+            "propose",
+            lambda xs, *a: calls.append((len(xs), len(a[-1]) // len(xs))) or propose(xs, *a),
+        )
+        cfg = TiltConfig(C=6.0, n_draws=3, max_attempts=12)
+        sets = assert_pass_matches_loop(S_l, S_u, bp, bm, task.u * 3.0, cfg)
+        xs = [x for x, _ in S_l] + S_u
+        p, later = 0, []
+        for group in sampler.width_groups(xs, bp, bm)[1]:
+            drawn = 0  # attempts drawn per short example so far
+            while (short := sum(sets[i].attempts > drawn for i in group)) and drawn < 12:
+                assert calls[p][0] == short
+                later += [short] if drawn else []
+                drawn += calls[p][1]
+                p += 1
+        assert p == len(calls)
+        assert max(later) >= 2
+
 
 class TestWidthGroups:
     def test_groups_partition_inputs_by_length_in_first_appearance_order(self):

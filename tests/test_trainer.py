@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import reference_draws as ref
 from conftest import two_cluster_data
-from pacgibbs.bounds import bound_supervised, stack_features, surrogate_objective
+from pacgibbs.bounds import Surrogate, bound_supervised, grad_u, stack_features, surrogate_objective
 from pacgibbs.errors import InvalidArgumentError, TrainingAbort
 from pacgibbs.gmm import GmmBackend
 from pacgibbs.predictor import vote_scores
 from pacgibbs.sampler import TiltConfig
+from pacgibbs import bounds as bounds_mod
 from pacgibbs import trainer as trainer_mod
 from pacgibbs.trainer import (
     TrainConfig,
@@ -46,20 +48,20 @@ def small_cfg(**kw):
 
 class TestBacktracking:
     def test_oversized_rate_is_halved_until_decrease(self):
-        f = lambda v: float(v @ v)
+        f = lambda v: (float(v @ v),)
         u = np.array([1.0, 1.0])
         grad = 2.0 * u
-        u_new, j_new = _backtracking_step(f, grad, u, f(u), gamma=10.0)
-        assert j_new <= f(u)
+        u_new, (j_new,) = _backtracking_step(f, grad, u, f(u), gamma=10.0)
+        assert j_new <= f(u)[0]
         assert not np.allclose(u_new, u)
 
     def test_no_step_when_nothing_helps(self):
         # gradient points away from every descent direction
-        f = lambda v: float(v @ v)
+        f = lambda v: (float(v @ v),)
         u = np.array([1.0, 0.0])
-        u_new, j_new = _backtracking_step(f, -u * 1e6, u, f(u), gamma=1.0)
+        u_new, (j_new,) = _backtracking_step(f, -u * 1e6, u, f(u), gamma=1.0)
         assert np.allclose(u_new, u)
-        assert j_new == f(u)
+        assert j_new == f(u)[0]
 
 
 class TestInitU0:
@@ -120,6 +122,49 @@ class TestInitU0:
         ]
         starts.append(np.concatenate([bp.natural_weights(), -bm.natural_weights(), [0.0]]))
         assert any(np.array_equal(u0_frozen, s) for s in starts)
+
+    @pytest.mark.parametrize(
+        "restarts,gamma_u,max_iters", [(1, 0.5, 300), (10, 0.5, 300), (10, 2000.0, 300), (10, 0.5, 0)]
+    )
+    def test_same_bits_as_two_call_descent(
+        self, cluster_problem, monkeypatch, restarts, gamma_u, max_iters
+    ):
+        """Each step's gradient taken from the margins of the evaluation that
+        accepted its point: the same u0 as a descent calling J and grad_u
+        apart, and one gradient per step, none for a rejected candidate."""
+        S_l, bp, bm = cluster_problem
+        S_u = [x for x, _ in S_l[::6]]
+        cfg, tilt = small_cfg(restarts=restarts, gamma_u=gamma_u), TiltConfig(C=1.0)
+        gradients = []
+        pdf = bounds_mod.gauss_pdf
+        monkeypatch.setattr(bounds_mod, "gauss_pdf", lambda a: gradients.append(1) or pdf(a))
+        fused = init_u0(S_l, S_u, bp, bm, cfg, tilt, max_iters=max_iters)
+        fused_gradients = len(gradients)
+
+        batches, calls = [], {"J": 0, "grad": 0, "starts": 0}
+        monkeypatch.setattr(trainer_mod, "Surrogate", lambda *a: batches.append(a) or Surrogate(*a))
+
+        def two_calls(_evaluate, u, gamma, iters):
+            labeled, unlabeled = batches[-1]
+            counts = (len(labeled) + len(unlabeled), len(labeled), len(unlabeled), labeled.shape[1])
+
+            def value_fn(v):
+                calls["J"] += 1
+                return surrogate_objective(labeled, unlabeled, v, v, 1.0, *counts)
+
+            def grad_fn(v):
+                calls["grad"] += 1
+                return grad_u(labeled, unlabeled, v, v, 1.0, *counts)
+
+            calls["starts"] += 1
+            return ref.descend(value_fn, grad_fn, u, gamma, iters)
+
+        monkeypatch.setattr(trainer_mod, "_descend", two_calls)
+        assert init_u0(S_l, S_u, bp, bm, cfg, tilt, max_iters=max_iters).tobytes() == fused.tobytes()
+        assert calls["starts"] == restarts + 1
+        assert fused_gradients == calls["grad"]
+        if gamma_u > 1.0:  # some steps were halved
+            assert calls["J"] > calls["starts"] + calls["grad"]
 
     def test_requires_labeled(self, cluster_problem):
         _, bp, bm = cluster_problem

@@ -14,7 +14,7 @@ and removes it at the end.  The inputs come from this checkout's
 the same files.
 
 The recipe, for perfbench's seed-101 and seed-102 inputs of both
-workloads, with each workload's own settings (131 outputs):
+workloads, with each workload's own settings (143 outputs):
 
 - in semi and supervised mode: ``model.bin``, ``telemetry.csv``, stdout
   and stderr of ``train``; ``predictions.csv`` and stdout of
@@ -27,6 +27,9 @@ workloads, with each workload's own settings (131 outputs):
 - hmm-semi semi ``train``, ``predict`` and ``bound-report`` on copies of
   the inputs where row ``i`` keeps all but its last ``i mod 7`` letters,
   so every pass and ``predict`` runs seven length groups;
+- on seed 101 only, semi ``train`` and ``predict`` at the default
+  ``trainer.restarts`` (10), so the prior-mean fit descends from eleven
+  starts;
 - ``benchmark`` with ``data.n_partitions=2`` and
   ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``
   and ``results.csv`` without its ``wall_seconds`` column;
@@ -151,6 +154,9 @@ class Recipe:
             self.write_inputs("in-mixed", mixed)
             self.train_and_predict(prefix, "mixed", w.common, w.train, True, inputs="in-mixed")
         self.train_and_predict(prefix, "blocks", (*w.common, *BLOCKS), w.train, False)
+        if seed == SEEDS[0]:
+            train = tuple(s for s in w.train if not s.startswith("trainer.restarts="))
+            self.train_and_predict(prefix, "restarts", w.common, train, False)
         self.benchmark(prefix, w.common, w.benchmark or w.train)
 
     def all(self) -> dict[str, str]:
