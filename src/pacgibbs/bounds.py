@@ -119,8 +119,13 @@ def _sum_examples(values: np.ndarray):
     """Sum over the example axis, left to right from +0.0.
 
     This gives the bits of a per-example ``total += value`` loop; a plain
-    ``np.sum`` adds pairwise and can differ in the last bits.
+    ``np.sum`` adds pairwise and can differ in the last bits.  Over the
+    rows of a C-contiguous (m, D) array with D > 1, ``np.add.reduce``
+    adds one row at a time; along a single column or a column-major
+    array it adds pairwise, so any other input takes the running sum.
     """
+    if values.ndim == 2 and values.shape[1] > 1 and values.flags.c_contiguous:
+        return np.add.reduce(values, axis=0) + 0.0
     return values.cumsum(axis=0)[-1] + 0.0
 
 

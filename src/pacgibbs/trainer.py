@@ -12,8 +12,9 @@ task is trained by one run of this loop.
 
 The prior mean ``u0`` is fit once, before the loop, on held-aside
 fractions of the data by minimizing the label risk plus half the
-disagreement over untilted hidden draws, restarting from random points
-in ``[-init_range, init_range]^dim`` and keeping the best.  The descent
+disagreement over untilted hidden draws, from ``restarts`` starts (the
+generative discriminant and ``restarts - 1`` random points in
+``[-init_range, init_range]^dim``) and keeping the best.  The descent
 evaluates J once per candidate point (``bounds.Surrogate``) and takes
 each step's gradient from the margins of the candidate it accepted.
 
@@ -76,8 +77,8 @@ class TrainConfig:
     gamma_u: float = 0.5
     gamma_c: float = 0.05
     max_outer_iters: int = 50
-    restarts: int = 10  # random starts of the prior-mean fit (init_u0)
-    init_range: float = 20.0  # half-width of the box they are drawn from
+    restarts: int = 10  # starts of the prior-mean fit (init_u0), the generative one included
+    init_range: float = 20.0  # half-width of the box the other starts are drawn from
     u0_fraction: float = 0.5
     delta: float = 0.05
     C_init: float = 1.0
@@ -194,13 +195,14 @@ def init_u0(
     Hidden features are drawn once from the untilted model posteriors
     (C = 0 sampling); the objective is the surrogate without its
     quadratic term and without C-scaling.  Descent runs from
-    ``cfg.restarts`` random starts, uniform in ``[-cfg.init_range,
-    cfg.init_range]^dim``, plus one model-based start (the backends'
-    natural weights, which realize the generative discriminant in
-    feature space -- random starts alone almost always sit on the
-    objective's saturated plateaus); the best final value wins.  With
-    ``max_iters`` = 0 that is the best start as-is.  These starts are
-    the only use of ``cfg.restarts`` and ``cfg.init_range``.
+    ``cfg.restarts`` starts: the model-based one (the backends' natural
+    weights, which realize the generative discriminant in feature space
+    -- random starts alone almost always sit on the objective's
+    saturated plateaus), after ``cfg.restarts - 1`` random ones, uniform
+    in ``[-cfg.init_range, cfg.init_range]^dim``; the best final value
+    wins, the earliest start on a tie.  With ``max_iters`` = 0 that is
+    the best start as-is.  These starts are the only use of
+    ``cfg.restarts`` and ``cfg.init_range``.
     """
     if not S_l_fraction:
         raise InvalidArgumentError("u0 initialization requires labeled examples")
@@ -215,7 +217,7 @@ def init_u0(
     surrogate = Surrogate(labeled, unlabeled)
     starts = [
         derive_rng(cfg.seed, _PHASE_U0_STARTS, r).uniform(-cfg.init_range, cfg.init_range, dim)
-        for r in range(cfg.restarts)
+        for r in range(cfg.restarts - 1)
     ]
     starts.append(
         np.concatenate(

@@ -377,6 +377,23 @@ class TestBatchedMatchesLoops:
             total += row
         assert _sum_examples(values).tobytes() == total.tobytes()
 
+    @pytest.mark.parametrize("layout", ["rows", "column", "column_major", "column_slice", "1d"])
+    def test_example_sums_of_many_rows_match_a_loop(self, layout):
+        # past 8 rows numpy's pairwise summation would change the bits
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-8, 9, (300, 1))
+        values = {
+            "rows": values,
+            "column": values[:, :1].copy(),
+            "column_major": np.asfortranarray(values),
+            "column_slice": values[:, ::2],
+            "1d": values[:, 0].copy(),
+        }[layout]
+        total = np.zeros(values.shape[1:])
+        for row in values:
+            total += row
+        assert _sum_examples(values).tobytes() == total.tobytes()
+
 
 class TestBounds:
     def test_zero_risk_zero_kl_full_confidence(self):

@@ -46,6 +46,16 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+def u0_starts(cfg, bp, bm):
+    """The prior-mean fit's starts in order: ``restarts - 1`` random, then the generative one."""
+    dim = bp.block_dim() + bm.block_dim() + 1
+    starts = [
+        derive_rng(cfg.seed, 2, r).uniform(-cfg.init_range, cfg.init_range, dim)
+        for r in range(cfg.restarts - 1)
+    ]
+    return starts + [np.concatenate([bp.natural_weights(), -bm.natural_weights(), [0.0]])]
+
+
 class TestBacktracking:
     def test_oversized_rate_is_halved_until_decrease(self):
         f = lambda v: (float(v @ v),)
@@ -116,12 +126,7 @@ class TestInitU0:
         cfg = small_cfg(restarts=4)
         tilt = TiltConfig(C=1.0)
         u0_frozen = init_u0(S_l, [], bp, bm, cfg, tilt, max_iters=0)
-        starts = [
-            derive_rng(cfg.seed, 2, r).uniform(-cfg.init_range, cfg.init_range, u0_frozen.size)
-            for r in range(cfg.restarts)
-        ]
-        starts.append(np.concatenate([bp.natural_weights(), -bm.natural_weights(), [0.0]]))
-        assert any(np.array_equal(u0_frozen, s) for s in starts)
+        assert any(np.array_equal(u0_frozen, s) for s in u0_starts(cfg, bp, bm))
 
     @pytest.mark.parametrize(
         "restarts,gamma_u,max_iters", [(1, 0.5, 300), (10, 0.5, 300), (10, 2000.0, 300), (10, 0.5, 0)]
@@ -161,10 +166,23 @@ class TestInitU0:
 
         monkeypatch.setattr(trainer_mod, "_descend", two_calls)
         assert init_u0(S_l, S_u, bp, bm, cfg, tilt, max_iters=max_iters).tobytes() == fused.tobytes()
-        assert calls["starts"] == restarts + 1
+        assert calls["starts"] == restarts
         assert fused_gradients == calls["grad"]
         if gamma_u > 1.0:  # some steps were halved
             assert calls["J"] > calls["starts"] + calls["grad"]
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_restarts_counts_the_generative_start(self, cluster_problem, monkeypatch, restarts):
+        """``restarts`` starts in all: the first ``restarts - 1`` random
+        streams in order, then the generative discriminant, each descended once."""
+        S_l, bp, bm = cluster_problem
+        cfg = small_cfg(restarts=restarts)
+        descend, starts = trainer_mod._descend, []
+        monkeypatch.setattr(
+            trainer_mod, "_descend", lambda f, u, *a: starts.append(u.copy()) or descend(f, u, *a)
+        )
+        init_u0(S_l, [], bp, bm, cfg, TiltConfig(C=1.0))
+        assert [s.tobytes() for s in starts] == [s.tobytes() for s in u0_starts(cfg, bp, bm)]
 
     def test_requires_labeled(self, cluster_problem):
         _, bp, bm = cluster_problem
@@ -281,7 +299,7 @@ class TestTrain:
 class TestMultiRestart:
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_identical_to_train(self, cluster_problem, restarts):
-        """One run per task: ``restarts`` only sets the prior-mean fit's random starts."""
+        """One run per task: ``restarts`` only sets the prior-mean fit's starts."""
         S_l, bp, bm = cluster_problem
         cfg = small_cfg(max_outer_iters=3, restarts=restarts)
         a = train(S_l, [], bp, bm, cfg)

@@ -28,7 +28,7 @@ workloads, with each workload's own settings (143 outputs):
   the inputs where row ``i`` keeps all but its last ``i mod 7`` letters,
   so every pass and ``predict`` runs seven length groups;
 - on seed 101 only, semi ``train`` and ``predict`` at the default
-  ``trainer.restarts`` (10), so the prior-mean fit descends from eleven
+  ``trainer.restarts`` (10), so the prior-mean fit descends from ten
   starts;
 - ``benchmark`` with ``data.n_partitions=2`` and
   ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``
