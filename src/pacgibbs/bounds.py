@@ -22,12 +22,10 @@ Jensen bound::
          + (C / (m_u n)) sum_ij  phi_tail(a_ij) phi_tail(-a_ij)
 
 and its analytic ``u``-gradient is written once, in :class:`Surrogate`,
-which gives both from one set of margins.  Both work on whole batches,
-yet give the same bits as one pass per example: negation is exact in
-IEEE arithmetic, so signed rows give the signed margins exactly, the
-batches stack along the example axis with one (n, D) product per
-example, and sums over examples run left to right from +0.0
-(``_sum_examples``), as a per-example ``+=`` loop does.
+which gives both from one set of margins.  Every draw of an example
+carries the same weight, so the sums above are plain sums over all rows:
+the surrogate keeps both batches as one (m n, D) row matrix and takes the
+margins as one matrix-vector product and the gradient as another.
 The trade-off constant ``C`` has its own descent direction, implemented
 exactly as the derivative of the bound treated as a function of ``C``
 with the risk terms entering ``J`` linearly.
@@ -115,25 +113,6 @@ def kl_weights(u: np.ndarray, u0: np.ndarray) -> float:
         return 0.5 * float(diff @ diff)
 
 
-def _sum_examples(values: np.ndarray):
-    """Sum over the example axis, left to right from +0.0.
-
-    This gives the bits of a per-example ``total += value`` loop; a plain
-    ``np.sum`` adds pairwise and can differ in the last bits.  Over the
-    rows of a C-contiguous (m, D) array with D > 1, ``np.add.reduce``
-    adds one row at a time; along a single column or a column-major
-    array it adds pairwise, so any other input takes the running sum.
-    """
-    if values.ndim == 2 and values.shape[1] > 1 and values.flags.c_contiguous:
-        return np.add.reduce(values, axis=0) + 0.0
-    return values.cumsum(axis=0)[-1] + 0.0
-
-
-def _weighted_rows(weights: np.ndarray, batch: FeatureBatch) -> np.ndarray:
-    """Per example, the weighted mean of its rows: ``weights[i] @ batch[i] / n``."""
-    return np.matmul(weights[:, None, :], batch)[:, 0, :] / batch.shape[1]
-
-
 def empirical_risks(labeled: FeatureBatch, unlabeled: FeatureBatch, u: np.ndarray) -> RiskReport:
     """Sample-averaged risks at ``u``: e_S on labeled, d_S on unlabeled, R_S on labeled.
 
@@ -143,14 +122,13 @@ def empirical_risks(labeled: FeatureBatch, unlabeled: FeatureBatch, u: np.ndarra
     """
     if not len(labeled):
         raise InvalidArgumentError("empirical_risks requires at least one labeled example")
-    p = phi_tail(np.matmul(labeled, u))
-    d_S = 0.0
-    if len(unlabeled):
-        a = np.matmul(unlabeled, u)
-        d_S = float(np.mean((2.0 * phi_tail(a) * phi_tail(-a)).mean(axis=1)))
-    return RiskReport(
-        e_S=float(np.mean((p * p).mean(axis=1))), d_S=d_S, R_S=float(np.mean(p.mean(axis=1)))
-    )
+    dim = labeled.shape[-1]
+    a_l, a_u = labeled.reshape(-1, dim) @ u, unlabeled.reshape(-1, dim) @ u
+    k_l, k_u = a_l.size, a_u.size
+    tails = phi_tail(np.concatenate([a_l, a_u, -a_u]))
+    p, t_u, t_neg = tails[:k_l], tails[k_l : k_l + k_u], tails[k_l + k_u :]
+    d_S = 2.0 * float(t_u @ t_neg) / k_u if k_u else 0.0
+    return RiskReport(e_S=float(p @ p) / p.size, d_S=d_S, R_S=float(p.sum()) / p.size)
 
 
 def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):
@@ -167,39 +145,38 @@ def _validate_counts(labeled, unlabeled, m: int, m_l: int, m_u: int, n: int):
 class Surrogate:
     """J(u) and its ``u``-gradient over one fixed (labeled, unlabeled) batch pair.
 
-    The batches are stacked once, when it is built; ``m_l``, ``m_u`` and
-    the draws per example ``n`` come from their shapes.  Each call takes
-    one ``phi_tail`` call on ``[a_l; a_u; -a_u]``, and its gradient one
-    ``gauss_pdf`` call on the same margins.
+    Both batches are stacked once, when it is built, into one C-contiguous
+    (m n, D) row matrix, labeled rows first; ``m_l``, ``m_u`` and the draws
+    per example ``n`` come from their shapes.  Each call takes the margins
+    as one ``rows @ u`` and one ``phi_tail`` call on ``[a_l; a_u; -a_u]``;
+    its gradient takes one ``gauss_pdf`` call on the same margins and one
+    ``weights @ rows``.
     """
 
     def __init__(self, labeled: FeatureBatch, unlabeled: FeatureBatch):
         if len(labeled) < 1:
             raise InvalidArgumentError("need at least one labeled example")
-        self.rows = np.concatenate([labeled, unlabeled])
-        self.m_l, self.m_u = len(labeled), len(unlabeled)
+        self.m_l, self.m_u, self.n = len(labeled), len(unlabeled), labeled.shape[1]
+        self.rows = np.concatenate([labeled, unlabeled]).reshape(-1, labeled.shape[-1])
 
     def __call__(self, u: np.ndarray, u0: np.ndarray, C: float):
         """The pair (J(u), gradient), where ``gradient()`` returns grad J(u)."""
-        m_l, m_u = self.m_l, self.m_u
-        m, n = m_l + m_u, self.rows.shape[1]
-        a = np.matmul(self.rows, u)
-        tails = phi_tail(np.concatenate([a, -a[m_l:]]))
-        t_l, t_u, t_neg = tails[:m_l], tails[m_l:m], tails[m:]
-        value = kl_weights(u, u0) / m + C * _sum_examples(np.add.reduce(t_l, axis=1) / n) / m_l
-        if m_u > 0:
-            value += C * _sum_examples(np.add.reduce(t_u * t_neg, axis=1) / n) / m_u
+        k_l, k_u = self.m_l * self.n, self.m_u * self.n  # labeled and unlabeled rows
+        a = self.rows @ u
+        tails = phi_tail(np.concatenate([a, -a[k_l:]]))
+        t_u, t_neg = tails[k_l : k_l + k_u], tails[k_l + k_u :]
+        value = kl_weights(u, u0) / (self.m_l + self.m_u) + C * float(tails[:k_l].sum()) / k_l
+        if k_u:
+            value += C * float(t_u @ t_neg) / k_u
 
         def gradient() -> np.ndarray:
             weights = gauss_pdf(a)
-            weights[m_l:] *= t_u - t_neg
-            rows = _weighted_rows(weights, self.rows)
-            grad = (u - u0) / m - C * _sum_examples(rows[:m_l]) / m_l
-            if m_u > 0:
-                grad += C * _sum_examples(rows[m_l:]) / m_u
-            return grad
+            weights[:k_l] *= -C / k_l
+            if k_u:
+                weights[k_l:] *= (t_u - t_neg) * (C / k_u)
+            return (u - u0) / (self.m_l + self.m_u) + weights @ self.rows
 
-        return float(value), gradient
+        return value, gradient
 
 
 def surrogate_objective(labeled, unlabeled, u, u0, C: float, m, m_l, m_u, n) -> float:

@@ -17,34 +17,20 @@ import numpy as np
 from .errors import InvalidFeatureError
 
 
-def row_dots(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``v @ row`` for every row of a (k, D) array, as a length-k array.
-
-    The stacked product multiplies k (1, D) @ (D, 1) pairs, and numpy
-    computes each pair with the same BLAS dot call as ``v @ row``, so
-    every entry has the bits of the single-row product.  ``rows @ v``
-    (one matrix-vector product) and ``einsum`` sum in other orders.
-    """
-    return (v @ rows[:, :, None])[:, 0]
-
-
 def assemble(blocks_plus: np.ndarray, blocks_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked feature vectors of k draws from their (k, B) backend blocks.
 
     Returns ``(phi, phi_bar)``, both (k, B_plus + B_minus + 1): row ``i``
     is ``[blocks_plus[i]; blocks_minus[i]; 1]`` and its unit-normalized
-    form; the trailing 1 keeps every norm at least 1.  Each norm is
-    ``sqrt(row . row)``, which is how ``np.linalg.norm(row)`` computes it.
-    Raises :class:`InvalidFeatureError` if a block contains NaN or
-    infinities.
+    form; the trailing 1 keeps every norm at least 1.  Raises
+    :class:`InvalidFeatureError` if a block contains NaN or infinities.
     """
     bp = np.asarray(blocks_plus, dtype=float)
     bm = np.asarray(blocks_minus, dtype=float)
     if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(bm))):
         raise InvalidFeatureError("feature blocks must be finite")
     phi = np.concatenate([bp, bm, np.ones((bp.shape[0], 1))], axis=1)
-    norms = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
-    return phi, phi / norms[:, None]
+    return phi, phi / np.linalg.norm(phi, axis=1, keepdims=True)
 
 
 class GenerativeBackend(ABC):

@@ -63,25 +63,14 @@ def _log_component_densities(X: np.ndarray, params: GmmParams) -> np.ndarray:
 
 
 def _logsumexp(v: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp`` of every row of a 2-d array, by scipy 1.17's own arithmetic.
+    """``log(sum(exp(row)))`` of every row of a 2-d array, shifted by the row's maximum.
 
-    In each row the largest entries are counted (``m``) and left out of
-    the shifted sum, which is then formed over the full row as scipy forms
-    it; a row with a non-finite result falls back to the direct formula,
-    as in scipy.  Each row sum is one ``sum(axis=1)`` over a C-contiguous
-    array, which reduces every row with the same pairwise loop as that
-    row's 1-d ``sum()``.
+    A row whose maximum is not finite is not shifted, so a row of -inf
+    gives -inf and a row holding +inf gives +inf.
     """
     top = v.max(axis=1, keepdims=True)
-    ties = v == top
-    m = np.count_nonzero(ties, axis=1).astype(float)
-    rest = np.exp(v - top)
-    rest[ties] = 0.0
-    out = np.log1p(rest.sum(axis=1) / m) + np.log(m) + top[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = np.log(np.exp(v[bad]).sum(axis=1))
-    return out
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.exp(v - top).sum(axis=1)) + top[:, 0]
 
 
 def responsibilities(
@@ -150,7 +139,7 @@ def m_step_gmm(
         warnings.warn("m_step_gmm called with no samples; parameters unchanged")
         return previous.copy()
     zs = np.concatenate([z for _, z in samples])
-    xs = np.concatenate([np.tile(np.asarray(x, float), (len(z), 1)) for x, z in samples])
+    xs = np.repeat(np.array([x for x, _ in samples], float), [len(z) for _, z in samples], axis=0)
 
     mass = zs.sum(axis=0)
     new = previous.copy()

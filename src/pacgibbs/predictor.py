@@ -12,7 +12,10 @@ those of inputs ``0 .. i-1``, the order in which inputs predicted one at
 a time, and ``n`` draws made one at a time, consume them.  Inputs that
 use as many uniforms per draw (for sequences: of one length) are
 proposed, scored and voted as one :func:`~pacgibbs.sampler.propose`
-stack.  :func:`predict` votes its inputs in blocks of at most
+stack, whose votes are one ``phi_bar @ u`` product; a vote can
+therefore differ in its last bits from that of the input predicted
+alone, which moves a label only for a score that close to 0.
+:func:`predict` votes its inputs in blocks of at most
 :data:`~pacgibbs.sampler.BLOCK_ROWS` votes, in input order, so the
 stacked arrays stay small on large files and the stream runs on across
 the blocks.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, row_dots
+from .features import GenerativeBackend
 # perfbench/tracing.py patches predictor.assemble by name, so the name stays.
 from .features import assemble  # noqa: F401
 from .sampler import blocks, propose, width_groups
@@ -61,7 +64,7 @@ def vote_scores(
         posts = (backend_plus.approx_posterior(group), backend_minus.approx_posterior(group))
         uniforms = stream[starts[idx][:, None] + np.arange(n * width)].reshape(-1, width)
         _, _, phi_bar = propose(group, backend_plus, backend_minus, posts, uniforms)
-        votes[idx] = row_dots(u, phi_bar).reshape(len(idx), n)
+        votes[idx] = (phi_bar @ u).reshape(len(idx), n)
     return votes
 
 

@@ -24,9 +24,12 @@ attempts that are certain to run, so it consumes exactly the random
 numbers, in the same order, as a loop making one attempt at a time, and
 leaves the generator in the same state.  In a sampling pass an example
 short by less than a round's largest shortfall draws attempts it never
-takes.  That keeps every result, because each example's generator is
+takes.  That keeps every draw, because each example's generator is
 private to the pass and thrown away after it, and an attempt's draws
-depend only on its own row of uniforms.
+depend only on its own row of uniforms.  Its tilt exponent comes from
+one matrix-vector product over the whole stack, so it can differ from
+that of the attempt proposed alone in the last bits, which moves an
+accept decision only for a uniform that close to its threshold.
 
 Tilt weights: every labeled example is weighted by its expected
 misclassification and every unlabeled one by its expected disagreement,
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .features import GenerativeBackend, assemble, row_dots
+from .features import GenerativeBackend, assemble
 from .numerics import phi_tail
 
 
@@ -158,7 +161,7 @@ def tilt_exponents(
     exponents = np.zeros(phi_bar.shape[0])
     if cfg.C == 0.0:
         return exponents
-    a = row_dots(u, phi_bar)
+    a = phi_bar @ u
     labeled = ys != 0
     if labeled.any():
         exponents[labeled] = -cfg.C * phi_tail(ys[labeled] * a[labeled])
@@ -250,14 +253,18 @@ def rejection_sample(
     if not drawn:
         posts = (backend_plus.approx_posterior([x]), backend_minus.approx_posterior([x]))
         drawn = rounds([x], [y], backend_plus, backend_minus, u, cfg, [rng], posts)[0]
-    flags, draws = zip(*drawn)  # per chunk: accept flags, (h_plus, h_minus, phi_bar, exponents)
-    h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*draws))
-    flags = np.concatenate(flags)
-    accepted = np.flatnonzero(flags)[: cfg.n_draws].tolist()  # attempt indices
+    if len(drawn) == 1:
+        ((flags, (h_plus, h_minus, phi_bar, exponents)),) = drawn
+    else:
+        flags, draws = zip(*drawn)  # per chunk: accept flags, (h_plus, h_minus, phi_bar, exponents)
+        h_plus, h_minus, phi_bar, exponents = (np.concatenate(arrays) for arrays in zip(*draws))
+        flags = np.concatenate(flags)
+    accepted = np.flatnonzero(flags)[: cfg.n_draws]  # attempt indices
     degraded = len(accepted) < cfg.n_draws
-    attempts = len(flags) if degraded else accepted[-1] + 1
+    attempts = len(flags) if degraded else int(accepted[-1]) + 1
     keep = accepted
     if degraded:
+        accepted = accepted.tolist()
         # Fallback: keep the n_draws proposals with the largest exponents
         # seen.  The rejected ones pass through a min-heap in attempt order;
         # ties keep accepted draws first, then the heap's list order.

@@ -239,11 +239,9 @@ def _hidden_kl(sample_sets, m: int) -> float:
     tilt; the acceptance rate estimates the normalizer.  Clamped at 0
     (the exact quantity is nonnegative; estimates can dip below).
     """
-    total = 0.0
-    for s in sample_sets:
-        rate = max(s.acceptance_rate, np.finfo(float).tiny)
-        total += max(0.0, np.mean(s.exponents) - np.log(rate))
-    return total / m
+    rates = np.maximum([s.acceptance_rate for s in sample_sets], np.finfo(float).tiny)
+    means = np.stack([s.exponents for s in sample_sets]).mean(axis=1)
+    return float(np.maximum(0.0, means - np.log(rates)).sum()) / m
 
 
 def _evaluate(labeled, unlabeled, sets_l, sets_u, u, u0, C, delta, m, m_l, m_u, n) -> RiskReport:

@@ -3,9 +3,9 @@
 These are the loops that stacking replaced: one input's posteriors at a
 time; one hidden draw, one feature vector and one random number at a
 time; M-steps over one weighted (x, h, w) triple per draw; and a descent
-that evaluates J and its gradient in separate calls.  The bit-identity
-tests compare the package's stacked posteriors, sampler, predictor,
-M-steps and prior-mean fit with them.  The joint and marginal densities are
+that evaluates J and its gradient in separate calls.  The tests compare
+the package's stacked posteriors, sampler, predictor, M-steps and
+prior-mean fit with them.  The joint and marginal densities are
 test oracles the package does not need.
 """
 
@@ -43,21 +43,10 @@ def assemble(block_plus, block_minus) -> Feature:
 # --- mixture ------------------------------------------------------------------
 
 
-def logsumexp_row(v) -> float:
-    """``scipy.special.logsumexp(v)`` of a 1-d array, by scipy 1.17's own arithmetic."""
-    top = v.max()
-    ties = v == top
-    m = float(np.count_nonzero(ties))
-    rest = np.exp(v - top)
-    rest[ties] = 0.0
-    out = np.log1p(rest.sum() / m) + np.log(m) + top
-    return out if np.isfinite(out) else np.log(np.exp(v).sum())
-
-
 def responsibilities(x, params, posterior_floor):
     """Posterior component probabilities of one vector ``x``."""
     log_a = _gmm_log_joint_terms(x, params)
-    a = np.exp(log_a - logsumexp_row(log_a))
+    a = np.exp(log_a - logsumexp(log_a))
     a = np.maximum(a, posterior_floor)
     return a / a.sum()
 

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from pacgibbs.bounds import (
     Surrogate,
-    _sum_examples,
     bound_semisupervised,
     bound_supervised,
     empirical_risks,
@@ -313,8 +312,34 @@ class TestStackFeatures:
         assert r.d_S == 0.0
 
 
+# The batched forms take every margin from one matrix-vector product and
+# sum over all rows at once, so they differ from the loops in the last
+# bits.  A margin moves by a few ulp of sum_i |u_i phi_i|, and in the far
+# tail phi_tail's relative change is about |a| times that, so J and the
+# risks are compared within a relative 1e-11, and each gradient entry
+# within 1e-11 of the summed magnitudes of its terms (its sum can cancel).
+LOOP_RTOL = 1e-11
+
+
+def loop_grad_scale(labeled, unlabeled, u, u0, C, m, m_l, m_u, n):
+    """Per entry, the sum of the magnitudes of the terms of ``loop_grad_u``."""
+    scale = np.abs(u - u0) / m
+    for feats, _ in labeled:
+        scale += C * gauss_pdf(feats @ u) @ np.abs(feats) / (n * m_l)
+    for feats in unlabeled:
+        scale += C * gauss_pdf(feats @ u) @ np.abs(feats) / (n * m_u)
+    return scale
+
+
+def assert_close_to_loops(value, grad, pairs, rows_u, args):
+    expected = loop_surrogate_objective(pairs, rows_u, *args)
+    assert value == pytest.approx(expected, rel=LOOP_RTOL, abs=0.0)
+    error = np.abs(grad - loop_grad_u(pairs, rows_u, *args))
+    assert np.all(error <= LOOP_RTOL * loop_grad_scale(pairs, rows_u, *args))
+
+
 class TestBatchedMatchesLoops:
-    """The batched J, grad_u and risks give the bits of the per-example loops."""
+    """The batched J, grad_u and risks agree with the per-example loops."""
 
     def test_bit_identical_on_random_instances(self):
         rng = np.random.default_rng(19)
@@ -324,11 +349,11 @@ class TestBatchedMatchesLoops:
             n = 1 if trial % 5 == 0 else int(rng.integers(2, 9))
             dim = int(rng.integers(3, 121))
             feats, labels = raw_instance(rng, dim=dim, n=n, m_l=m_l, m_u=m_u)
-            # at |u| >= 50 gauss_pdf underflows to signed zeros
+            # at |u| >= 50 gauss_pdf underflows to zeros
             scale = (0.3, 3.0, 50.0, 100.0)[trial // 3 % 4]
             u = rng.normal(size=dim) * scale
             u0 = u.copy() if trial % 2 else rng.normal(size=dim)
-            if trial % 7 == 0:  # signed zeros in u - u0
+            if trial % 7 == 0:  # zeros in u - u0
                 u[:2], u0[:2] = -0.0, 0.0
             C = float(rng.uniform(0.1, 3.0))
             args = (u, u0, C, m_l + m_u, m_l, m_u, n)
@@ -336,21 +361,17 @@ class TestBatchedMatchesLoops:
             pairs = list(zip(feats[:m_l], labels))
             rows_u = list(feats[m_l:])
             labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
-            assert surrogate_objective(labeled, unlabeled, *args) == loop_surrogate_objective(
-                pairs, rows_u, *args
-            )
-            assert grad_u(labeled, unlabeled, *args).tobytes() == loop_grad_u(
-                pairs, rows_u, *args
-            ).tobytes()
+            value = surrogate_objective(labeled, unlabeled, *args)
+            assert_close_to_loops(value, grad_u(labeled, unlabeled, *args), pairs, rows_u, args)
             r = empirical_risks(labeled, unlabeled, u)
-            assert (r.e_S, r.d_S, r.R_S) == loop_empirical_risks(pairs, rows_u, u)
+            expected = loop_empirical_risks(pairs, rows_u, u)
+            assert (r.e_S, r.d_S, r.R_S) == pytest.approx(expected, rel=LOOP_RTOL, abs=0.0)
 
     @pytest.mark.parametrize("m_u", [0, 7])
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_one_evaluation_gives_value_and_gradient_bits(self, n, m_u):
-        """J and its gradient from one Surrogate call equal the loop oracles,
-        also with margins beyond +-38.5, where phi_tail is 0.  At n = 40
-        the row means take numpy's pairwise sums."""
+        """J and its gradient from one Surrogate call agree with the loop
+        oracles, also with margins beyond +-38.5, where phi_tail is 0."""
         rng = np.random.default_rng(20 + n + m_u)
         saturated = 0
         for trial in range(12):
@@ -366,33 +387,8 @@ class TestBatchedMatchesLoops:
             pairs, rows_u = list(zip(feats[:m_l], labels)), list(feats[m_l:])
             labeled, unlabeled = stack_features(feats[:m_l], labels), stack_features(feats[m_l:])
             value, gradient = Surrogate(labeled, unlabeled)(u, u0, C)
-            assert value == loop_surrogate_objective(pairs, rows_u, *args)
-            assert gradient().tobytes() == loop_grad_u(pairs, rows_u, *args).tobytes()
+            assert_close_to_loops(value, gradient(), pairs, rows_u, args)
         assert saturated > 0
-
-    def test_example_sums_run_left_to_right_from_plus_zero(self):
-        values = np.array([[-0.0, 1e-300, 3.0], [-0.0, -1e-300, 1e16], [-0.0, 0.0, -1e16]])
-        total = np.zeros(3)
-        for row in values:
-            total += row
-        assert _sum_examples(values).tobytes() == total.tobytes()
-
-    @pytest.mark.parametrize("layout", ["rows", "column", "column_major", "column_slice", "1d"])
-    def test_example_sums_of_many_rows_match_a_loop(self, layout):
-        # past 8 rows numpy's pairwise summation would change the bits
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((300, 7)) * 10.0 ** rng.integers(-8, 9, (300, 1))
-        values = {
-            "rows": values,
-            "column": values[:, :1].copy(),
-            "column_major": np.asfortranarray(values),
-            "column_slice": values[:, ::2],
-            "1d": values[:, 0].copy(),
-        }[layout]
-        total = np.zeros(values.shape[1:])
-        for row in values:
-            total += row
-        assert _sum_examples(values).tobytes() == total.tobytes()
 
 
 class TestBounds:

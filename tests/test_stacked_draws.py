@@ -1,10 +1,14 @@
-"""Stacked posteriors and draws against the per-input loops they replaced, bit for bit.
+"""Stacked posteriors and draws against the per-input loops they replaced.
 
 The backends compute the posteriors of many inputs at once; the sampler
 and the predictor draw a chunk of hidden pairs from one block of
 uniforms, and the predictor handles many inputs in one stack.  They must
-return the same bits as the loops in ``reference_draws`` and leave the
-generator in the same state.
+make the same draws, accept decisions, attempts and labels as the loops
+in ``reference_draws`` and leave the generator in the same state.  HMM
+posteriors and both M-steps keep the loops' bits.  Float results that
+the stacked forms sum in other orders (unit features, margins, tilt
+exponents, votes and GMM responsibilities) agree within a few ulp of
+their scale; see :func:`margin_atol`.
 """
 
 import dataclasses
@@ -15,7 +19,7 @@ from scipy.special import logsumexp
 
 import reference_draws as ref
 from pacgibbs import sampler
-from pacgibbs.cli import _format_float, main
+from pacgibbs.cli import main
 from pacgibbs.gmm import GmmBackend, GmmParams, _logsumexp
 from pacgibbs.hmm import HmmBackend, HmmParams, forward_backward, sample_paths
 from pacgibbs.modelio import save_model
@@ -56,12 +60,32 @@ def assert_same_fields(new, old, names):
         assert bits(value) == bits(expected), name
 
 
+EPS = np.finfo(float).eps
+UNIT_ATOL = 8 * EPS  # entries of unit-norm rows, and probabilities
+
+
+def margin_atol(u) -> float:
+    """Bound on the gap between two margins ``u . phi_bar`` of one unit row
+    summed in different orders (a stacked product, the loop's dot), and so
+    on that of a vote or of an exponent over C (``phi_tail`` is 0.4-Lipschitz)."""
+    return 8 * EPS * (1.0 + float(np.abs(u).sum()))
+
+
+def assert_same_set(new, old, u, C):
+    """Draws, attempts, acceptance and the degraded flag equal the loop's;
+    features and exponents agree within ``UNIT_ATOL`` and ``C * margin_atol(u)``."""
+    exact = [f.name for f in dataclasses.fields(HiddenSampleSet)]
+    assert_same_fields(new, old, [name for name in exact if name not in ("phi_bar", "exponents")])
+    np.testing.assert_allclose(new.phi_bar, old.phi_bar, rtol=0, atol=UNIT_ATOL)
+    np.testing.assert_allclose(new.exponents, old.exponents, rtol=0, atol=C * margin_atol(u))
+
+
 def sample_both(seed, x, y, bp, bm, u, cfg):
     """The package's set, after checking it and the stream against the loop's."""
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     new = rejection_sample(x, y, bp, bm, u, cfg, rng_new)
     old = ref.rejection_sample(x, y, bp, bm, u, cfg, rng_old)
-    assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
+    assert_same_set(new, old, u, cfg.C)
     assert rng_new.random() == rng_old.random()
     return new
 
@@ -136,7 +160,7 @@ class TestPredictorMatchesLoop:
             rng_new, rng_old = np.random.default_rng(i), np.random.default_rng(i)
             (new,) = vote_scores([x], bp, bm, u, n, rng_new).tolist()
             old = ref.vote_scores(x, bp, bm, u, n, rng_old)
-            assert [v.hex() for v in new] == [v.hex() for v in old]
+            np.testing.assert_allclose(new, old, rtol=0, atol=margin_atol(u))
             assert rng_new.random() == rng_old.random()
 
 
@@ -219,6 +243,9 @@ class TestForwardBackwardXi:
 
 class TestLogSumExp:
     def test_matches_scipy_bit_for_bit(self):
+        """Within 4 ulp of the larger of 1 and the result: both shift by the
+        row maximum and differ only in how they sum the shifted terms (at
+        least 1) and take their log, each good to about an ulp."""
         rng = np.random.default_rng(76)
         for n in range(1, 13):
             v = rng.normal(size=(400, n)) * rng.choice([0.1, 5.0, 300.0], size=(400, 1))
@@ -226,9 +253,12 @@ class TestLogSumExp:
                 row[rng.integers(n, size=n // 2 + 1)] = row.max()
                 row[rng.integers(n, size=n // 3)] = row.min()
             got = _logsumexp(v)
-            assert [x.hex() for x in got.tolist()] == [float(logsumexp(r)).hex() for r in v]
+            expected = logsumexp(v, axis=1)
+            assert np.all(np.abs(got - expected) <= 4 * EPS * np.maximum(1.0, np.abs(expected)))
 
     def test_non_finite_rows_take_the_fallback_row_by_row(self):
+        """Results that are not finite equal scipy's; finite ones, also of
+        rows holding -inf, agree within 4 ulp."""
         inf, nan = np.inf, np.nan
         v = np.array(
             [
@@ -243,8 +273,9 @@ class TestLogSumExp:
         )
         with np.errstate(all="ignore"):
             got = _logsumexp(v)
-            expected = [ref.logsumexp_row(row) for row in v]
-        assert bits(got) == bits(np.array(expected))
+            expected = logsumexp(v, axis=1)
+        assert bits(got[:5]) == bits(expected[:5])  # -inf, 0.5, inf, inf, nan
+        np.testing.assert_allclose(got[5:], expected[5:], rtol=4 * EPS, atol=0)
 
 
 def random_task(make_pair, rng):
@@ -279,11 +310,11 @@ def reference_predictions(xs, task, n, rng):
     return out
 
 
-def assert_predictions_match(new, old):
+def assert_predictions_match(new, old, u):
     assert len(new) == len(old)
     for p, (votes, score, label) in zip(new, old):
-        assert [v.hex() for v in p.votes] == [v.hex() for v in votes]
-        assert p.score.hex() == score.hex()
+        np.testing.assert_allclose(p.votes, votes, rtol=0, atol=margin_atol(u))
+        assert p.score == pytest.approx(score, rel=0, abs=margin_atol(u))
         assert p.label == label
 
 
@@ -301,7 +332,7 @@ class TestFilePredictionMatchesLoop:
             xs = make_inputs(task, 30, rng)
             rng_new, rng_old = np.random.default_rng(trial), np.random.default_rng(trial)
             new = predict(xs, task, n, rng_new)
-            assert_predictions_match(new, reference_predictions(xs, task, n, rng_old))
+            assert_predictions_match(new, reference_predictions(xs, task, n, rng_old), task.u)
             assert rng_new.random() == rng_old.random()
 
     def test_mixed_lengths_include_length_one(self):
@@ -310,7 +341,8 @@ class TestFilePredictionMatchesLoop:
         xs = hmm_inputs(task, 25, rng, lengths=(1, 4))
         assert {len(x) for x in xs} == {1, 4}
         new = predict(xs, task, 3, np.random.default_rng(0))
-        assert_predictions_match(new, reference_predictions(xs, task, 3, np.random.default_rng(0)))
+        old = reference_predictions(xs, task, 3, np.random.default_rng(0))
+        assert_predictions_match(new, old, task.u)
 
     @pytest.mark.parametrize("make_pair,make_inputs", CASES, ids=["gmm", "hmm"])
     def test_evaluate_crosses_block_boundaries(self, make_pair, make_inputs, monkeypatch):
@@ -355,10 +387,14 @@ class TestFilePredictionMatchesLoop:
             argv += ["--set", setting]
         assert main(argv) == 0
         old = reference_predictions(xs, task, n, derive_rng(17, 901))
-        expected = ["index,score,label"] + [
-            f"{i},{_format_float(score)},{label}" for i, (_, score, label) in enumerate(old)
-        ]
-        assert (tmp_path / "out" / "predictions.csv").read_text().splitlines() == expected
+        lines = (tmp_path / "out" / "predictions.csv").read_text().splitlines()
+        assert lines[0] == "index,score,label"
+        index, scores, labels = zip(*(line.split(",") for line in lines[1:]))
+        assert index == tuple(str(i) for i in range(len(old)))
+        assert labels == tuple(str(label) for _, _, label in old)
+        expected = [score for _, score, _ in old]
+        atol = margin_atol(task.u)
+        np.testing.assert_allclose(np.array(scores, float), expected, rtol=0, atol=atol)
 
 
 POSTERIOR_FIELDS = ("alphas", "gamma", "xi", "transition_post", "log_likelihood")
@@ -403,14 +439,13 @@ class TestStackedPosteriorsMatchLoop:
             p.weights[:2] = p.weights[:2].mean()
         X = rng.normal(size=(60, d)) * 2.0
         X[::7] = p.means[0]  # a tie at the maximum
-        X[3::11] = 1e200  # every log term -inf: the logsumexp fallback
+        X[3::11] = 1e200  # every log term -inf
         X[5::13, 0] = 1e170  # far from every component
         with np.errstate(all="ignore"):
             got = backend.approx_posterior(list(X))
             expected = [ref.responsibilities(x, p, backend.posterior_floor) for x in X]
         assert got.shape == (60, K)
-        for row, old in zip(got, expected):
-            assert bits(row) == bits(old)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=UNIT_ATOL)
         if K > 1:
             assert np.isnan(got[3]).all()
 
@@ -429,7 +464,7 @@ def assert_pass_matches_loop(S_l, S_u, bp, bm, u, cfg, seed=5, key=(1, 0)):
     examples = S_l + [(x, None) for x in S_u]
     for i, ((x, y), new) in enumerate(zip(examples, sets_l + sets_u)):
         old = ref.rejection_sample(x, y, bp, bm, u, cfg, derive_rng(seed, *key, i))
-        assert_same_fields(new, old, [f.name for f in dataclasses.fields(HiddenSampleSet)])
+        assert_same_set(new, old, u, cfg.C)
     return sets_l + sets_u
 
 
@@ -653,5 +688,5 @@ class TestTiltExponents:
             ref.tilt_exponent(ref.Feature(row, row), None if y == 0 else int(y), u, cfg)
             for row, y in zip(phi_bar, labels)
         ]
-        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=C * margin_atol(u))
         assert {1, -1, 0} <= set(labels.tolist())

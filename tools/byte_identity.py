@@ -14,11 +14,11 @@ and removes it at the end.  The inputs come from this checkout's
 the same files.
 
 The recipe, for perfbench's seed-101 and seed-102 inputs of both
-workloads, with each workload's own settings (143 outputs):
+workloads, with each workload's own settings (167 outputs):
 
 - in semi and supervised mode: ``model.bin``, ``telemetry.csv``, stdout
-  and stderr of ``train``; ``predictions.csv`` and stdout of
-  ``predict``; stdout of ``bound-report``;
+  and stderr of ``train``; ``predictions.csv``, its ``label`` column on
+  its own, and stdout of ``predict``; stdout of ``bound-report``;
 - hmm-semi also at ``hmm.states=10`` and ``hmm.states=16`` (semi
   ``train`` and ``predict``);
 - semi ``train`` and ``predict`` at ``tilt.n_draws=40`` and
@@ -31,13 +31,16 @@ workloads, with each workload's own settings (143 outputs):
   ``trainer.restarts`` (10), so the prior-mean fit descends from ten
   starts;
 - ``benchmark`` with ``data.n_partitions=2`` and
-  ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``
-  and ``results.csv`` without its ``wall_seconds`` column;
+  ``benchmark.learning_curve_sizes=6,10``: stdout, ``learning_curve.csv``,
+  ``results.csv`` without its ``wall_seconds`` column, and its
+  ``accuracy`` column on its own;
 - stdout of ``selftest``.
 
 Each workload and seed runs in its own subdirectory of the work
 directory, and every output path is relative to it, so stdout that names
-a path compares equal across trees.
+a path compares equal across trees.  The label and accuracy columns have
+hashes of their own so that ``--compare`` shows whether predicted labels
+held when a change moves scores in their last digits.
 """
 
 from __future__ import annotations
@@ -109,6 +112,12 @@ class Recipe:
     def keep(self, name: str, path: str):
         self.hashes[name] = sha256((self.cwd / path).read_bytes())
 
+    def keep_columns(self, name: str, path: str, keep) -> None:
+        """Keep the sha256 of the columns of a CSV file whose header names pass ``keep``."""
+        rows = [line.split(",") for line in (self.cwd / path).read_text().splitlines()]
+        cols = [i for i, col in enumerate(rows[0]) if keep(col)]
+        self.hashes[name] = sha256("\n".join(",".join(r[i] for i in cols) for r in rows).encode())
+
     def train_and_predict(
         self, prefix: str, out: str, common: tuple, train: tuple, report: bool, inputs: str = "in"
     ):
@@ -121,6 +130,7 @@ class Recipe:
         settings = (f"data.path={inputs}/test.csv", f"run.output_dir={out}", *common)
         self.run(f"{name}/predict", "predict", *settings, model=model)
         self.keep(f"{name}/predictions.csv", f"{out}/predictions.csv")
+        self.keep_columns(f"{name}/predictions.csv-label", f"{out}/predictions.csv", "label".__eq__)
         if report:
             settings = (f"data.path={inputs}/train.csv", *common)
             self.run(f"{name}/bound-report", "bound-report", *settings, model=model)
@@ -129,10 +139,9 @@ class Recipe:
         settings = ("data.path=in/train.csv", "run.output_dir=bench", *common, *settings)
         self.run(f"{prefix}/benchmark", "benchmark", *settings, *BENCHMARK)
         self.keep(f"{prefix}/learning_curve.csv", "bench/learning_curve.csv")
-        lines = (self.cwd / "bench" / "results.csv").read_text().splitlines()
-        keep = [i for i, col in enumerate(lines[0].split(",")) if col != "wall_seconds"]
-        stable = "\n".join(",".join(line.split(",")[i] for i in keep) for line in lines)
-        self.hashes[f"{prefix}/results.csv-wall"] = sha256(stable.encode())
+        results = "bench/results.csv"
+        self.keep_columns(f"{prefix}/results.csv-wall", results, "wall_seconds".__ne__)
+        self.keep_columns(f"{prefix}/results.csv-accuracy", results, "accuracy".__eq__)
 
     def write_inputs(self, inputs: str, rows: dict):
         (self.cwd / inputs).mkdir(parents=True)
