@@ -585,6 +585,39 @@ class TestScipyStaysUnloaded:
         assert self.probe("selftest") == "0 False False"
 
 
+SELFTEST_PROBE = """
+import sys
+import pacgibbs.cli
+after_import = "pacgibbs.selftest" in sys.modules
+code = pacgibbs.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, after_import, "pacgibbs.selftest" in sys.modules)
+"""
+
+
+class TestSelftestLoadsOnDemand:
+    """Only the ``selftest`` command imports the self-test module, so the
+    other commands do not pay for compiling and running it."""
+
+    def probe(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", SELFTEST_PROBE, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()[-1]
+
+    def test_import_and_train_leave_it_unloaded(self, tmp_path):
+        assert self.probe() == "0 False False"
+        data, overrides = small_task(tmp_path, "gmm")
+        common = ["--set", f"data.path={data}", "--set", f"run.output_dir={tmp_path / 'out'}"]
+        assert self.probe("train", *common, *[f"--set={o}" for o in overrides]) == "0 False False"
+
+    def test_selftest_command_loads_it(self):
+        assert self.probe("selftest") == "0 False True"
+
+
 class TestSelftestCommand:
     def test_clean_build_passes(self, capsys):
         assert run_cli("selftest") == 0

@@ -49,6 +49,17 @@ class TestAssemble:
         assert phi[0, -1] == 1.0
         assert np.linalg.norm(phi_bar[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rows_of_a_stack_match_single_row_assembly(self):
+        rng = np.random.default_rng(15)
+        bp = rng.normal(size=(9, 4)) * 10.0 ** rng.integers(-3, 4, size=(9, 1))
+        bm = rng.normal(size=(9, 3))
+        phi, phi_bar = assemble(bp, bm)
+        for i in range(9):
+            phi_i, phi_bar_i = assemble(bp[i : i + 1], bm[i : i + 1])
+            assert phi[i].tobytes() == phi_i[0].tobytes()
+            np.testing.assert_allclose(phi_bar[i], phi_bar_i[0], rtol=2 * np.finfo(float).eps)
+            assert np.linalg.norm(phi_bar[i]) == pytest.approx(1.0, abs=1e-15)
+
     def test_normalization_idempotent(self):
         _, phi_bar = assemble(np.array([[5.0, -2.0]]), np.array([[1.0]]))
         again = phi_bar[0] / np.linalg.norm(phi_bar[0])

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from pacgibbs.gmm import (
     GmmBackend,
     GmmParams,
+    _logsumexp,
     feature_block_gmm,
     m_step_gmm,
     responsibilities,
@@ -71,6 +72,21 @@ class TestSampleZ:
         a = np.array([0.2, 0.3, 0.5])
         counts = sample_z(a[None], rng.random(100_000)).sum(axis=0)
         assert counts / counts.sum() == pytest.approx(a, abs=0.01)
+
+
+class TestLogSumExp:
+    def test_large_entries_do_not_overflow(self):
+        v = np.array([[1000.0, 1000.0], [800.0, -800.0]])
+        assert _logsumexp(v) == pytest.approx([1000.0 + np.log(2.0), 800.0], rel=1e-15)
+
+    def test_small_entries_do_not_underflow(self):
+        v = np.array([[-1000.0, -1000.0 - np.log(3.0)]])
+        assert _logsumexp(v) == pytest.approx([-1000.0 + np.log(4.0 / 3.0)], rel=1e-15)
+
+    def test_matches_the_direct_formula_at_moderate_values(self):
+        v = np.random.default_rng(13).normal(size=(50, 6)) * 5.0
+        expected = np.log(np.exp(v).sum(axis=1))
+        np.testing.assert_allclose(_logsumexp(v), expected, rtol=1e-13, atol=1e-13)
 
 
 class TestFeatureBlock:
@@ -166,6 +182,19 @@ class TestMStep:
         new = m_step_gmm(list(zip(xs, zs)), prev, np.array([1e-6]))
         assert abs(new.means[0, 0] - (-2.0)) < 0.2
         assert abs(new.means[1, 0] - 2.0) < 0.2
+
+    def test_draw_counts_weight_each_example(self):
+        """An example with k draws counts as k examples with one draw each."""
+        rng = np.random.default_rng(12)
+        prev = make_params([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
+        xs = rng.normal(size=(4, 2))
+        counts = (3, 1, 5, 2)
+        zs = [np.eye(2)[rng.integers(2, size=k)] for k in counts]
+        grouped = m_step_gmm(list(zip(xs, zs)), prev, np.array([1e-6, 1e-6]))
+        split = [(x, z[i : i + 1]) for x, z in zip(xs, zs) for i in range(len(z))]
+        one_each = m_step_gmm(split, prev, np.array([1e-6, 1e-6]))
+        for field in ("weights", "means", "variances"):
+            assert getattr(grouped, field).tobytes() == getattr(one_each, field).tobytes()
 
     def test_empty_is_warned_noop(self):
         prev = make_params([1.0], [[0.0]], [[1.0]])

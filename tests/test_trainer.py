@@ -1,5 +1,7 @@
 """Training loop behavior: initialization, updates, routing, one run per task."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from pacgibbs import trainer as trainer_mod
 from pacgibbs.trainer import (
     TrainConfig,
     _backtracking_step,
+    _hidden_kl,
     derive_rng,
     evaluate_bounds,
     init_u0,
@@ -188,6 +191,39 @@ class TestInitU0:
         _, bp, bm = cluster_problem
         with pytest.raises(InvalidArgumentError):
             init_u0([], [], bp, bm, small_cfg(), TiltConfig(C=1.0))
+
+
+def loop_hidden_kl(sample_sets, m):
+    """The per-example KL estimates, summed one example at a time."""
+    total = 0.0
+    for s in sample_sets:
+        rate = max(s.acceptance_rate, np.finfo(float).tiny)
+        total += max(0.0, np.mean(s.exponents) - np.log(rate))
+    return total / m
+
+
+class TestHiddenKl:
+    def test_matches_a_per_example_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            count = int(rng.integers(1, 30))
+            sets = [
+                SimpleNamespace(exponents=-rng.exponential(size=5), acceptance_rate=rate)
+                for rate in rng.uniform(0.01, 1.0, size=count)
+            ]
+            expected = loop_hidden_kl(sets, count + 3)
+            assert _hidden_kl(sets, count + 3) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_clamps_each_example_at_zero(self):
+        positive = SimpleNamespace(exponents=np.array([-0.1, -0.3]), acceptance_rate=0.5)
+        negative = SimpleNamespace(exponents=np.array([-1.0, -3.0]), acceptance_rate=1.0)
+        assert _hidden_kl([negative], 1) == 0.0
+        assert _hidden_kl([positive, negative], 2) == _hidden_kl([positive], 2)
+        assert _hidden_kl([positive], 2) == pytest.approx((np.log(2.0) - 0.2) / 2, rel=1e-15)
+
+    def test_zero_acceptance_rate_takes_the_tiny_floor(self):
+        sets = [SimpleNamespace(exponents=np.zeros(3), acceptance_rate=0.0)]
+        assert _hidden_kl(sets, 1) == -np.log(np.finfo(float).tiny)
 
 
 class TestTrain:
